@@ -22,7 +22,7 @@ import argparse
 import os
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 __all__ = ["main"]
 
@@ -131,15 +131,7 @@ def _cmd_reproduce(args) -> int:
     if args.json:
         import json
 
-        payload = [
-            {
-                "experiment_id": r.experiment_id,
-                "title": r.title,
-                "rows": r.rows,
-                "notes": r.notes,
-            }
-            for r in results
-        ]
+        payload = [_result_body(r) for r in results]
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True, default=str)
             fh.write("\n")
@@ -397,30 +389,6 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_faults(args) -> int:
-    from .experiments import fault_recovery
-
-    if args.list:
-        return _print_fault_presets()
-    result = fault_recovery.run(seed=args.seed, only=args.only)
-    if not result.rows:
-        print(f"no fault class contains {args.only!r}; classes: "
-              f"{', '.join(fault_recovery.FAULT_CLASS_NAMES)}", file=sys.stderr)
-        return 2
-    if args.json:
-        import json
-
-        print(json.dumps({
-            "experiment_id": result.experiment_id,
-            "title": result.title,
-            "rows": result.rows,
-            "notes": result.notes,
-        }, indent=2, sort_keys=True, default=str))
-        return 0
-    print(result.table())
-    return 0
-
-
 def _cmd_fleet(args) -> int:
     import json
 
@@ -483,67 +451,109 @@ def _cmd_fleet(args) -> int:
     return 0
 
 
-def _cmd_volumes(args) -> int:
-    from .experiments import volumes_demo
+def _result_body(result) -> dict:
+    """The JSON body of one experiment result (``--json`` outputs)."""
+    return {
+        "experiment_id": result.experiment_id,
+        "title": result.title,
+        "rows": result.rows,
+        "notes": result.notes,
+    }
 
-    result = volumes_demo.run(seed=args.seed, cells=args.cells,
-                              workers=args.workers)
-    if args.json:
-        import json
 
-        print(json.dumps({
-            "experiment_id": result.experiment_id,
-            "title": result.title,
-            "rows": result.rows,
-            "notes": result.notes,
-        }, indent=2, sort_keys=True, default=str))
+def _no_fault_class(args) -> str:
+    from .experiments.fault_recovery import FAULT_CLASS_NAMES
+
+    return (f"no fault class contains {args.only!r}; classes: "
+            f"{', '.join(FAULT_CLASS_NAMES)}")
+
+
+class _ExperimentCommand(NamedTuple):
+    """One subcommand that runs an experiment module's ``run()``."""
+
+    help: str
+    #: submodule of :mod:`repro.experiments`
+    module: str
+    #: (flag, argparse keywords) pairs, in ``--help`` order
+    options: tuple = ()
+    #: parsed options passed to ``run()`` as keyword arguments
+    run_args: tuple = ()
+    #: stderr message (exit 2) when the run produced no rows
+    on_empty: Optional[Callable] = None
+
+
+_SEED = ("--seed", {"type": int, "default": 7})
+_WORKERS = ("--workers", {"type": int, "default": None, "metavar": "N",
+                          "help": "fan cells over N processes "
+                                  "(results are identical)"})
+_JSON_ROWS = ("--json", {"action": "store_true",
+                         "help": "print the result rows as JSON"})
+_CELL_ARGS = ("seed", "cells", "workers")
+
+_EXPERIMENT_COMMANDS = {
+    "faults": _ExperimentCommand(
+        "availability timeline per injected fault class", "fault_recovery",
+        (("--only", {"default": None, "help": "substring filter on fault class"}),
+         _SEED,
+         ("--list", {"action": "store_true",
+                     "help": "list the canned fault presets and exit"}),
+         _JSON_ROWS),
+        run_args=("seed", "only"), on_empty=_no_fault_class,
+    ),
+    "volumes": _ExperimentCommand(
+        "snapshot/thin-clone/CoW demo over NVMe-MI", "volumes_demo",
+        (("--cells", {"type": int, "default": 4, "metavar": "N",
+                      "help": "independent seeded worlds (each snapshots a "
+                              "golden image and writes through its clones)"}),
+         _SEED, _WORKERS, _JSON_ROWS),
+        run_args=_CELL_ARGS,
+    ),
+    "push": _ExperimentCommand(
+        "pushdown ablation: mediated vs in-engine lookups", "pushdown_ablation",
+        (("--cells", {"type": int, "default": 4, "metavar": "N",
+                      "help": "independent seeded worlds (each runs both read "
+                              "paths over the same minikv workload)"}),
+         _SEED, _WORKERS, _JSON_ROWS),
+        run_args=_CELL_ARGS,
+    ),
+    "cxl": _ExperimentCommand(
+        "burst-absorption ablation (fixed on-card DRAM vs the CXL buffer "
+        "tier, clean + hot-remove cells)", "burst_absorption",
+        (("--cells", {"type": int, "default": 4,
+                      "help": "seeded burst cells (odd cells surprise-remove "
+                              "the lending slot mid-burst)"}),
+         _SEED, _WORKERS, _JSON_ROWS),
+        run_args=_CELL_ARGS,
+    ),
+    "tco": _ExperimentCommand("print the TCO analysis", "tco_analysis"),
+}
+
+
+def _add_experiment_parser(sub, name: str) -> None:
+    cmd = _EXPERIMENT_COMMANDS[name]
+    p = sub.add_parser(name, help=cmd.help)
+    for flag, kwargs in cmd.options:
+        p.add_argument(flag, **kwargs)
+
+
+def _cmd_experiment(args) -> int:
+    """Run one table-driven experiment command; print its table or JSON."""
+    import importlib
+    import json
+
+    cmd = _EXPERIMENT_COMMANDS[args.command]
+    if getattr(args, "list", False):
+        return _print_fault_presets()
+    module = importlib.import_module(f".experiments.{cmd.module}", __package__)
+    result = module.run(**{name: getattr(args, name) for name in cmd.run_args})
+    if not result.rows and cmd.on_empty is not None:
+        print(cmd.on_empty(args), file=sys.stderr)
+        return 2
+    if getattr(args, "json", False):
+        print(json.dumps(_result_body(result), indent=2, sort_keys=True,
+                         default=str))
         return 0
     print(result.table())
-    return 0
-
-
-def _cmd_push(args) -> int:
-    from .experiments import pushdown_ablation
-
-    result = pushdown_ablation.run(seed=args.seed, cells=args.cells,
-                                   workers=args.workers)
-    if args.json:
-        import json
-
-        print(json.dumps({
-            "experiment_id": result.experiment_id,
-            "title": result.title,
-            "rows": result.rows,
-            "notes": result.notes,
-        }, indent=2, sort_keys=True, default=str))
-        return 0
-    print(result.table())
-    return 0
-
-
-def _cmd_cxl(args) -> int:
-    from .experiments import burst_absorption
-
-    result = burst_absorption.run(seed=args.seed, cells=args.cells,
-                                  workers=args.workers)
-    if args.json:
-        import json
-
-        print(json.dumps({
-            "experiment_id": result.experiment_id,
-            "title": result.title,
-            "rows": result.rows,
-            "notes": result.notes,
-        }, indent=2, sort_keys=True, default=str))
-        return 0
-    print(result.table())
-    return 0
-
-
-def _cmd_tco(_args) -> int:
-    from .experiments import tco_analysis
-
-    print(tco_analysis.run().table())
     return 0
 
 
@@ -749,14 +759,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                    help="runs per cell, keeping the best wall clock "
                         "(default 1; CI uses 3 to shed scheduler noise)")
 
-    p = sub.add_parser("faults",
-                       help="availability timeline per injected fault class")
-    p.add_argument("--only", default=None, help="substring filter on fault class")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--list", action="store_true",
-                   help="list the canned fault presets and exit")
-    p.add_argument("--json", action="store_true",
-                   help="print the result rows as JSON")
+    _add_experiment_parser(sub, "faults")
 
     p = sub.add_parser("fleet",
                        help="fleet simulation: placement + rolling hot-upgrade")
@@ -787,42 +790,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--json", default=None, metavar="PATH",
                    help="write the full fleet report as JSON ('-' = stdout)")
 
-    p = sub.add_parser("volumes",
-                       help="snapshot/thin-clone/CoW demo over NVMe-MI")
-    p.add_argument("--cells", type=int, default=4, metavar="N",
-                   help="independent seeded worlds (each snapshots a golden "
-                        "image and writes through its clones)")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="fan cells over N processes (results are identical)")
-    p.add_argument("--json", action="store_true",
-                   help="print the result rows as JSON")
-
-    p = sub.add_parser("push",
-                       help="pushdown ablation: mediated vs in-engine lookups")
-    p.add_argument("--cells", type=int, default=4, metavar="N",
-                   help="independent seeded worlds (each runs both read "
-                        "paths over the same minikv workload)")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="fan cells over N processes (results are identical)")
-    p.add_argument("--json", action="store_true",
-                   help="print the result rows as JSON")
-
-    p = sub.add_parser("cxl",
-                       help="burst-absorption ablation (fixed on-card DRAM "
-                            "vs the CXL buffer tier, clean + hot-remove "
-                            "cells)")
-    p.add_argument("--cells", type=int, default=4,
-                   help="seeded burst cells (odd cells surprise-remove "
-                        "the lending slot mid-burst)")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="fan cells over N processes (results are identical)")
-    p.add_argument("--json", action="store_true",
-                   help="print the result rows as JSON")
-
-    sub.add_parser("tco", help="print the TCO analysis")
+    for name in ("volumes", "push", "cxl", "tco"):
+        _add_experiment_parser(sub, name)
 
     p = sub.add_parser("check",
                        help="static determinism audit + checked reference run")
@@ -838,18 +807,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     handler = {
+        **dict.fromkeys(_EXPERIMENT_COMMANDS, _cmd_experiment),
         "list": _cmd_list,
         "reproduce": _cmd_reproduce,
         "fio": _cmd_fio,
         "stats": _cmd_stats,
         "grid": _cmd_grid,
         "bench": _cmd_bench,
-        "faults": _cmd_faults,
         "fleet": _cmd_fleet,
-        "volumes": _cmd_volumes,
-        "push": _cmd_push,
-        "cxl": _cmd_cxl,
-        "tco": _cmd_tco,
         "check": _cmd_check,
     }[args.command]
     return handler(args)

@@ -250,9 +250,6 @@ class CXLBufferTier:
             return mem
         return self.engine.chip_memory
 
-    def owner_name(self, addr: int) -> str:
-        return self.owner_memory(addr).name
-
     @property
     def borrowed_bytes(self) -> int:
         return self.share.lent_bytes

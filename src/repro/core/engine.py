@@ -133,22 +133,18 @@ class _BackendRootSpace:
         return self.engine.chip_memory.access_ns
 
     def mem_write(self, addr: int, length: int, data) -> None:
+        engine = self.engine
         if is_global_prp(addr):
-            self.engine._route_dma_write(addr, length, data)
+            engine._route_dma_write(addr, length, data)
             return
-        cxl = self.engine.cxl
-        if cxl is not None and cxl.contains(addr):
-            cxl.owner_memory(addr).mem_write(addr, length, data)
-            return
-        self.engine.chip_memory.mem_write(addr, length, data)
-        self.engine.adaptor.notice_write(addr)
+        mem = engine._prp_pool.memory_for(addr)
+        mem.mem_write(addr, length, data)
+        if mem is engine.chip_memory:
+            engine.adaptor.notice_write(addr)
 
     def mem_read(self, addr: int, length: int):
         # only reached for local reads via the sync path
-        cxl = self.engine.cxl
-        if cxl is not None and cxl.contains(addr):
-            return cxl.owner_memory(addr).mem_read(addr, length)
-        return self.engine.chip_memory.mem_read(addr, length)
+        return self.engine._prp_pool.memory_for(addr).mem_read(addr, length)
 
     def mem_read_async(self, addr: int, length: int) -> Event:
         if is_global_prp(addr):
@@ -659,33 +655,10 @@ class BMSEngine:
         yield self.sim.timeout(self.timings.pipeline_ns)
 
         span = sqe.span
-        if sqe.opcode == int(IOOpcode.WRITE):
-            # CoW: a write to a shared chunk faults (allocate, copy,
-            # remap, decref parent) *before* translation sees the entry
-            if self.volumes is not None:
-                yield from self.volumes.on_write(ens, sqe.slba, nblocks,
-                                                 span=span)
-            # live migration: feed the dirty-chunk bitmap
-            if ens.dirty_chunks is not None:
-                cs = ens.table.chunk_blocks
-                ens.dirty_chunks.update(
-                    range(sqe.slba // cs, (sqe.slba + nblocks - 1) // cs + 1))
-
         # ② LBA mapping
-        try:
-            extents = ens.table.translate_extent(sqe.slba, nblocks)
-        except SimulationError as exc:
-            from ..checks.runtime import InvariantViolation
-
-            if isinstance(exc, InvariantViolation):
-                raise  # a checker violation must surface, not complete as EIO
-            self._fn_stats[fn.fn_id].errors += 1
-            if self.obs is not None:
-                self.obs.counter("ns_errors", ns=fn.ns_key).inc()
-            self.post_front_cqe(fn, qid, sqe.cid, int(StatusCode.LBA_OUT_OF_RANGE), 0,
-                                span=span)
-            return
-        if sqe.slba + nblocks > ens.namespace.num_blocks:
+        extents = yield from self.map_io(ens, sqe.opcode, sqe.slba, nblocks,
+                                         span)
+        if extents is None:
             self._fn_stats[fn.fn_id].errors += 1
             if self.obs is not None:
                 self.obs.counter("ns_errors", ns=fn.ns_key).inc()
@@ -716,85 +689,119 @@ class BMSEngine:
                 memory_name=self.host.memory.name, where=self.name,
             )
 
-        # ③ forward one back-end command per extent, tracking fan-in
-        state = {"remaining": len(extents), "status": int(StatusCode.SUCCESS),
-                 "lists": []}
-        block_off = 0
-        for ssd_id, plba, cnt in extents:
-            frag_pages = host_pages[block_off : block_off + cnt]
-            frag_len = cnt * LBA_BYTES
-            prp1g, prp2g, list_addr = self._build_global_prps(fn.fn_id, frag_pages)
-            if list_addr is not None:
-                state["lists"].append((list_addr, (len(frag_pages) - 1) * 8))
-            payload = None
-            if sqe.payload is not None:
-                payload = sqe.payload[block_off * LBA_BYTES :][:frag_len]
-            fwd = alloc_sqe(
-                opcode=sqe.opcode, cid=0, nsid=1, slba=plba, nlb=cnt - 1,
-                prp1=prp1g, prp2=prp2g, payload=payload,
-                submit_time_ns=self.sim.now,
-            )
-            if span is not None:
-                fwd.span = span  # the back-end SSD stamps ssd_dma on it
-            slot = self.adaptor.slot_for(ssd_id)
-            slot.forward(fwd, self._make_fanin(fn, qid, sqe, state))
-            block_off += cnt
+        # ③ forward one back-end command per extent with global PRPs
+        # (paper Fig. 4b: each host page tagged with the function id)
+        fn_id = fn.fn_id
+        self.forward_io(sqe.opcode, extents,
+                        [encode_global_prp(fn_id, addr) for addr in host_pages],
+                        sqe.payload, span, self._front_done(fn, qid, sqe))
         if span is not None:
             span.stamp("forward", self.sim.now)
 
-        self._account_io(fn.fn_id, sqe.opcode, length, ns_key=fn.ns_key)
+        self._account_io(fn_id, sqe.opcode, length, ns_key=fn.ns_key)
 
     def _handle_flush(self, fn: FrontEndFunction, qid: int, sqe: SQE, ens: EngineNamespace):
         yield self.sim.timeout(self.timings.pipeline_ns)
+        # one data-less command per backing SSD: a one-block extent at
+        # LBA 0 with null PRPs
         ssd_ids = sorted({ssd_id for ssd_id, _ in ens.chunks})
-        state = {"remaining": len(ssd_ids), "status": int(StatusCode.SUCCESS), "lists": []}
-        for ssd_id in ssd_ids:
-            fwd = alloc_sqe(opcode=int(IOOpcode.FLUSH), cid=0, nsid=1,
-                            submit_time_ns=self.sim.now)
-            self.adaptor.slot_for(ssd_id).forward(
-                fwd, self._make_fanin(fn, qid, sqe, state)
-            )
+        self.forward_io(int(IOOpcode.FLUSH), [(ssd_id, 0, 1) for ssd_id in ssd_ids],
+                        [0] * len(ssd_ids), None, None,
+                        self._front_done(fn, qid, sqe))
 
-    def _make_fanin(self, fn, qid, sqe, state):
+    def _front_done(self, fn: FrontEndFunction, qid: int, sqe: SQE):
+        """Step ⑦ for a forwarded front command: the fanned-in status."""
+        def on_done(status: int) -> None:
+            if status != int(StatusCode.SUCCESS):
+                self._fn_stats[fn.fn_id].errors += 1
+            span = sqe.span
+            if span is not None:
+                span.stamp("backend_done", self.sim.now)
+            self.post_front_cqe(fn, qid, sqe.cid, status, 0, span=span)
+
+        return on_done
+
+    def map_io(self, ens: EngineNamespace, opcode: int, slba: int,
+               nblocks: int, span: Optional[IOSpan]):
+        """Step ②: the write hooks, then LBA translation.
+
+        Generator returning ``[(ssd_id, physical_lba, nblocks), ...]``,
+        or ``None`` when the range falls outside the namespace.  Host
+        commands and pushdown hops both map through here.
+        """
+        if opcode == int(IOOpcode.WRITE):
+            # CoW: a write to a shared chunk faults (allocate, copy,
+            # remap, decref parent) *before* translation sees the entry
+            if self.volumes is not None:
+                yield from self.volumes.on_write(ens, slba, nblocks, span=span)
+            # live migration: feed the dirty-chunk bitmap
+            if ens.dirty_chunks is not None:
+                cs = ens.table.chunk_blocks
+                ens.dirty_chunks.update(
+                    range(slba // cs, (slba + nblocks - 1) // cs + 1))
+        try:
+            extents = ens.table.translate_extent(slba, nblocks)
+        except SimulationError as exc:
+            from ..checks.runtime import InvariantViolation
+
+            if isinstance(exc, InvariantViolation):
+                raise  # a checker violation must surface, not complete as EIO
+            return None
+        if slba + nblocks > ens.namespace.num_blocks:
+            return None
+        return extents
+
+    def forward_io(self, opcode: int, extents, pages: list[int], payload,
+                   span: Optional[IOSpan], on_done) -> None:
+        """Step ③: one back-end command per extent, fanned in to ``on_done``.
+
+        ``pages`` holds one resolved DMA page address per block (global
+        PRPs for host commands, pooled chip-buffer pages for pushdown
+        hops).  A fragment of more than two pages gets its PRP list in a
+        pooled buffer, freed when the last extent completes; then
+        ``on_done(status)`` runs with SUCCESS, or with a failed extent's
+        status.
+        """
+        pool = self._prp_pool
+        lists: list[tuple[int, int]] = []
+        fanin = [len(extents), int(StatusCode.SUCCESS)]
+
         def on_complete(status: int) -> None:
             if status != int(StatusCode.SUCCESS):
-                state["status"] = status
-            state["remaining"] -= 1
-            if state["remaining"] == 0:
-                for addr, size in state["lists"]:
+                fanin[1] = status
+            fanin[0] -= 1
+            if fanin[0] == 0:
+                for addr, size in lists:
                     # drop the PRPList object before the buffer recycles:
                     # page-rounded buckets can hand this address to a
                     # data read, whose mem_read must see bytes, not a
                     # stale object
-                    mem = self.chip_memory
-                    if self.cxl is not None:
-                        mem = self.cxl.owner_memory(addr)
-                    mem.pop_obj(addr)
-                    self._prp_pool.put(addr, size)
-                if state["status"] != int(StatusCode.SUCCESS):
-                    self._fn_stats[fn.fn_id].errors += 1
-                span = sqe.span
-                if span is not None:
-                    span.stamp("backend_done", self.sim.now)
-                self.post_front_cqe(fn, qid, sqe.cid, state["status"], 0,
-                                    span=span)
+                    pool.memory_for(addr).pop_obj(addr)
+                    pool.put(addr, size)
+                on_done(fanin[1])
 
-        return on_complete
-
-    def _build_global_prps(self, fn_id: int, pages: list[int]):
-        """Convert host PRPs to global PRPs (paper Fig. 4b, step ⑤ prep)."""
-        gp = [encode_global_prp(fn_id, addr) for addr in pages]
-        if len(gp) == 1:
-            return gp[0], 0, None
-        if len(gp) == 2:
-            return gp[0], gp[1], None
-        size = (len(gp) - 1) * 8
-        list_addr = self._prp_pool.get(size)
-        mem = self.chip_memory
-        if self.cxl is not None:
-            mem = self.cxl.owner_memory(list_addr)  # spilled lists live off-card
-        mem.store_obj(list_addr, PRPList(list_addr, gp[1:]))
-        return gp[0], list_addr, list_addr
+        block_off = 0
+        for ssd_id, plba, cnt in extents:
+            frag = pages[block_off : block_off + cnt]
+            prp1, prp2 = frag[0], 0
+            if len(frag) == 2:
+                prp2 = frag[1]
+            elif len(frag) > 2:
+                size = (len(frag) - 1) * 8
+                prp2 = pool.get(size)
+                pool.memory_for(prp2).store_obj(prp2, PRPList(prp2, frag[1:]))
+                lists.append((prp2, size))
+            frag_payload = None
+            if payload is not None:
+                frag_payload = payload[block_off * LBA_BYTES :][: cnt * LBA_BYTES]
+            fwd = alloc_sqe(
+                opcode=opcode, cid=0, nsid=1, slba=plba, nlb=cnt - 1,
+                prp1=prp1, prp2=prp2, payload=frag_payload,
+                submit_time_ns=self.sim.now,
+            )
+            fwd.span = span  # the back-end SSD stamps ssd_dma on it
+            self.adaptor.slot_for(ssd_id).forward(fwd, on_complete)
+            block_off += cnt
 
     # ----------------------------------------------------- DMA request routing
     def _descriptor_engine(self) -> DescriptorRingDMA:

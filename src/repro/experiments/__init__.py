@@ -33,11 +33,6 @@ from .common import (
     build_vm_targets,
     quick_cases,
     run_case,
-    run_case_bmstore,
-    run_case_bmstore_vm,
-    run_case_native,
-    run_case_spdk_vm,
-    run_case_vfio_vm,
     scaled,
     time_scale,
 )
@@ -68,11 +63,6 @@ __all__ = [
     "build_vm_targets",
     "quick_cases",
     "run_case",
-    "run_case_bmstore",
-    "run_case_bmstore_vm",
-    "run_case_native",
-    "run_case_spdk_vm",
-    "run_case_vfio_vm",
     "scaled",
     "time_scale",
 ]

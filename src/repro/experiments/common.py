@@ -7,17 +7,17 @@ rates converge while benchmark wall time stays in seconds.
 
 Scheme runners: :data:`SCHEMES` maps a scheme name ("native",
 "bmstore", "passthrough", "vfio-vm", "bmstore-vm", "spdk-vm") to a
-builder that runs one fio case in a freshly built world.  :func:`run_case` is the single
-entry point; it attaches a :class:`~repro.obs.MetricsRegistry` to the
-world and returns a :class:`CaseResult` bundling the fio measurement
-with the observability snapshot.  The old ``run_case_*`` functions
-remain as deprecated wrappers.
+builder that runs one fio case in a freshly built world.
+:func:`run_case` is the single entry point; it attaches a
+:class:`~repro.obs.MetricsRegistry` to the world and returns a
+:class:`CaseResult` bundling the fio measurement with the
+observability snapshot.  Submission behaviour (doorbell mode, CQE
+coalescing, engine DMA model) is chosen with ``policy=``.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional, Sequence
 
@@ -33,7 +33,7 @@ from ..checks import CheckContext, resolve_checks
 from ..faults import FaultPlan
 from ..host.driver import NVMeDriver
 from ..host.kernel_profile import DEFAULT_KERNEL, KernelProfile
-from ..host.policy import SubmissionPolicy, _merge_deprecated_kwargs, resolve_policy
+from ..host.policy import resolve_policy
 from ..host.vm import VirtualMachine
 from ..obs import MetricsRegistry
 from ..sim.units import GIB, MS
@@ -47,11 +47,6 @@ __all__ = [
     "CaseResult",
     "SCHEMES",
     "run_case",
-    "run_case_native",
-    "run_case_bmstore",
-    "run_case_vfio_vm",
-    "run_case_bmstore_vm",
-    "run_case_spdk_vm",
     "BM_NAMESPACE_BYTES",
 ]
 
@@ -341,11 +336,6 @@ assert set(SCHEMES) == set(runnable_schemes()), (
 )
 
 
-#: run_case kwargs superseded by ``policy=``; kept as deprecated shims
-_DEPRECATED_POLICY_KWARGS = ("doorbell_mode", "batch_doorbells", "coalesce",
-                             "dma_model")
-
-
 def run_case(
     scheme: str,
     spec: FioSpec,
@@ -385,16 +375,6 @@ def run_case(
         known = ", ".join(sorted(SCHEMES))
         raise ValueError(f"unknown scheme {scheme!r} (known: {known})")
     pol = resolve_policy(policy)
-    deprecated = {k: scheme_kwargs.pop(k) for k in _DEPRECATED_POLICY_KWARGS
-                  if k in scheme_kwargs}
-    if deprecated:
-        warnings.warn(
-            f"run_case kwargs {sorted(deprecated)} are deprecated; pass "
-            "policy=SubmissionPolicy(...) (or its string spelling) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        pol = _merge_deprecated_kwargs(pol, **deprecated)
     if obs is None:
         obs = MetricsRegistry(mode=obs_mode, span_sample=span_sample)
     ctx = resolve_checks(checks, obs)
@@ -405,55 +385,6 @@ def run_case(
                  **scheme_kwargs)
     return CaseResult(scheme=scheme, spec=spec, fio=fio, obs=obs,
                       snapshot=obs.snapshot(), checks=ctx)
-
-
-# ------------------------------------------------------- deprecated wrappers
-def _deprecated(old: str, scheme: str) -> None:
-    warnings.warn(
-        f"{old}() is deprecated; use run_case({scheme!r}, spec).fio",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def run_case_native(spec: FioSpec, num_ssds: int = 1, seed: int = 7,
-                    kernel: KernelProfile = DEFAULT_KERNEL) -> FioResult:
-    """Deprecated: use ``run_case("native", spec)``."""
-    _deprecated("run_case_native", "native")
-    return run_case("native", spec, seed=seed, kernel=kernel,
-                    num_ssds=num_ssds).fio
-
-
-def run_case_bmstore(spec: FioSpec, num_ssds: int = 1, seed: int = 7,
-                     kernel: KernelProfile = DEFAULT_KERNEL,
-                     **rig_kwargs) -> FioResult:
-    """Deprecated: use ``run_case("bmstore", spec)``."""
-    _deprecated("run_case_bmstore", "bmstore")
-    return run_case("bmstore", spec, seed=seed, kernel=kernel,
-                    num_ssds=num_ssds, **rig_kwargs).fio
-
-
-def run_case_vfio_vm(spec: FioSpec, seed: int = 7,
-                     kernel: KernelProfile = DEFAULT_KERNEL) -> FioResult:
-    """Deprecated: use ``run_case("vfio-vm", spec)``."""
-    _deprecated("run_case_vfio_vm", "vfio-vm")
-    return run_case("vfio-vm", spec, seed=seed, kernel=kernel).fio
-
-
-def run_case_bmstore_vm(spec: FioSpec, seed: int = 7,
-                        kernel: KernelProfile = DEFAULT_KERNEL) -> FioResult:
-    """Deprecated: use ``run_case("bmstore-vm", spec)``."""
-    _deprecated("run_case_bmstore_vm", "bmstore-vm")
-    return run_case("bmstore-vm", spec, seed=seed, kernel=kernel).fio
-
-
-def run_case_spdk_vm(spec: FioSpec, seed: int = 7,
-                     kernel: KernelProfile = DEFAULT_KERNEL,
-                     num_cores: int = 1) -> FioResult:
-    """Deprecated: use ``run_case("spdk-vm", spec)``."""
-    _deprecated("run_case_spdk_vm", "spdk-vm")
-    return run_case("spdk-vm", spec, seed=seed, kernel=kernel,
-                    num_cores=num_cores).fio
 
 
 VM_SCHEMES = ("vfio", "bmstore", "spdk")

@@ -53,12 +53,17 @@ class BufferPool:
         """The page-multiple size class a request is served from."""
         return -(-nbytes // PAGE_SIZE) * PAGE_SIZE
 
+    def memory_for(self, addr: int) -> "HostMemory":
+        """The memory a pooled address lives in: this pool's own, or
+        the tier window/lender slot a spilled buffer was placed in."""
+        if self.tier is not None and not self.memory.contains(addr):
+            return self.tier.owner_memory(addr)
+        return self.memory
+
     def owner_name(self, addr: int) -> str:
         """Name of the memory ``addr`` lives in (checker bookkeeping
         follows buffers across tiers by this key)."""
-        if self.tier is not None and not self.memory.contains(addr):
-            return self.tier.owner_name(addr)
-        return self.memory.name
+        return self.memory_for(addr).name
 
     def get(self, nbytes: int) -> int:
         size = self.bucket_size(nbytes)

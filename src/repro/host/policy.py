@@ -38,7 +38,7 @@ style) with a lower per-descriptor cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..sim import SimulationError
@@ -211,25 +211,3 @@ def resolve_policy(
         f"policy must be a SubmissionPolicy, a string, or None; got {policy!r}"
     )
 
-
-def _merge_deprecated_kwargs(policy, doorbell_mode=None, batch_doorbells=None,
-                             coalesce=None, dma_model=None, _warn=None):
-    """Map the pre-policy ad-hoc kwargs onto a SubmissionPolicy.
-
-    Used by :func:`repro.experiments.common.run_case` to keep the old
-    spellings working behind a ``DeprecationWarning``.
-    """
-    base = resolve_policy(policy) or DEFAULT_POLICY
-    fields = {}
-    if doorbell_mode is not None:
-        fields["doorbell"] = doorbell_mode
-    if batch_doorbells is not None:
-        fields["doorbell"] = "batched"
-        fields["batch_depth"] = int(batch_doorbells)
-    if coalesce is not None:
-        fields["coalesce_threshold"] = int(coalesce)
-        if base.coalesce_timeout_ns <= 0 and int(coalesce) > 1:
-            fields["coalesce_timeout_ns"] = 8_000
-    if dma_model is not None:
-        fields["dma"] = dma_model
-    return replace(base, **fields) if fields else base

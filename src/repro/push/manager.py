@@ -8,9 +8,9 @@ None`` and execute byte-identical event sequences.
 The interpreter runs inside the engine's command path: a ``PUSH_EXEC``
 vendor I/O command names an invocation object parked at its PRP page;
 the interpreter fetches it, runs the namespace's installed program,
-issues the backend reads itself (each one QoS-admitted, window-checked,
-translated through the mapping table, and forwarded through the normal
-adaptor slots), and parks a result object back at the same page.
+issues the backend I/O itself (each hop window-checked, QoS-admitted,
+then mapped and forwarded by the same engine steps as host I/O), and
+parks a result object back at the same page.
 
 Sandboxing is enforced twice: the runtime re-checks every invocation
 LBA against the installed program's windows (``PUSH_SANDBOX_FAULT`` on
@@ -32,7 +32,6 @@ import struct
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..nvme.command import alloc_sqe
 from ..nvme.spec import LBA_BYTES, IOOpcode, StatusCode
 from ..sim import SimulationError
 from ..sim.units import PAGE_SIZE
@@ -255,94 +254,39 @@ class PushManager:
 
         The checker observes the access *before* the runtime window
         gate so an out-of-range program is caught even if the inline
-        enforcement is ever reverted (and vice versa).
+        enforcement is ever reverted (and vice versa).  Past the gate a
+        hop is ordinary tenant I/O: QoS-admitted, then mapped and
+        forwarded by the engine's own steps ②–③ (so CoW faults and
+        dirty-chunk tracking apply) into a pooled chip buffer.
         """
         engine = self.engine
-        program = entry.program
         if self.checks is not None:
             self.checks.on_push_io(self, ens.key, lba, nblocks, span=span)
-        if not program.admits(lba, nblocks):
+        if not entry.program.admits(lba, nblocks):
             raise _SandboxEscape(lba, nblocks)
-        # pushdown hops are still tenant I/O: each one is QoS-admitted
         yield engine.qos.admit(fn.ns_key, nblocks * LBA_BYTES, span=span)
         yield engine.sim.timeout(self.costs.hop_ns)
-        try:
-            extents = ens.table.translate_extent(lba, nblocks)
-        except SimulationError as exc:
-            from ..checks.runtime import InvariantViolation
-
-            if isinstance(exc, InvariantViolation):
-                raise
+        extents = yield from engine.map_io(ens, opcode, lba, nblocks, span)
+        if extents is None:
             return int(StatusCode.LBA_OUT_OF_RANGE), None
 
         length = nblocks * LBA_BYTES
-        buf = engine._prp_pool.get(length)
-        pages = [buf + i * PAGE_SIZE for i in range(nblocks)]
+        pool = engine._prp_pool
+        buf = pool.get(length)
         done = engine.sim.event(name="push.hop")
-        state = {"remaining": len(extents), "status": int(StatusCode.SUCCESS)}
-
-        def on_complete(status: int) -> None:
-            if status != int(StatusCode.SUCCESS):
-                state["status"] = status
-            state["remaining"] -= 1
-            if state["remaining"] == 0:
-                done.succeed(state["status"])
-
-        lists = []
-        block_off = 0
-        for ssd_id, plba, cnt in extents:
-            frag_pages = pages[block_off : block_off + cnt]
-            prp1, prp2, list_addr = self._chip_prps(frag_pages)
-            if list_addr is not None:
-                lists.append((list_addr, (len(frag_pages) - 1) * 8))
-            frag_payload = None
-            if payload is not None:
-                frag_payload = payload[block_off * LBA_BYTES :][: cnt * LBA_BYTES]
-            fwd = alloc_sqe(
-                opcode=opcode, cid=0, nsid=1, slba=plba, nlb=cnt - 1,
-                prp1=prp1, prp2=prp2, payload=frag_payload,
-                submit_time_ns=engine.sim.now,
-            )
-            if span is not None:
-                fwd.span = span  # the back-end SSD stamps ssd_dma per hop
-            engine.adaptor.slot_for(ssd_id).forward(fwd, on_complete)
-            block_off += cnt
+        engine.forward_io(opcode, extents,
+                          [buf + i * PAGE_SIZE for i in range(nblocks)],
+                          payload, span, done.succeed)
         status = yield done
-        for addr, size in lists:
-            # drop the PRPList object before the buffer recycles (a
-            # later data read at this address must see bytes)
-            self._list_memory(addr).pop_obj(addr)
-            engine._prp_pool.put(addr, size)
         data = None
         if status == int(StatusCode.SUCCESS) and opcode == int(IOOpcode.READ):
-            data = engine.chip_memory.mem_read(buf, length)
-        engine._prp_pool.put(buf, length)
+            data = pool.memory_for(buf).mem_read(buf, length)
+        pool.put(buf, length)
         if opcode == int(IOOpcode.READ):
             entry.backend_reads += 1
         else:
             entry.backend_writes += 1
         return status, data
-
-    def _chip_prps(self, pages: list[int]):
-        """PRP fields for a chip-memory buffer (untagged back-end space)."""
-        if len(pages) == 1:
-            return pages[0], 0, None
-        if len(pages) == 2:
-            return pages[0], pages[1], None
-        from ..nvme.prp import PRPList
-
-        size = (len(pages) - 1) * 8
-        list_addr = self.engine._prp_pool.get(size)
-        self._list_memory(list_addr).store_obj(list_addr,
-                                               PRPList(list_addr, pages[1:]))
-        return pages[0], list_addr, list_addr
-
-    def _list_memory(self, addr: int):
-        """The memory a pooled PRP-list buffer lives in (spilled lists
-        live off-card when the CXL tier is armed)."""
-        if self.engine.cxl is not None:
-            return self.engine.cxl.owner_memory(addr)
-        return self.engine.chip_memory
 
     # ---------------------------------------------------------------- ops
     def _run_chase(self, fn, ens, entry, inv, result: PushResult, span):

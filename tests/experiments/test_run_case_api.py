@@ -1,5 +1,5 @@
-"""The redesigned scheme-runner API: the SCHEMES registry, run_case,
-CaseResult, deprecated wrappers, and table() column union."""
+"""The scheme-runner API: the SCHEMES registry, run_case, CaseResult,
+and table() column union."""
 
 import pytest
 
@@ -9,8 +9,6 @@ from repro.experiments.common import (
     ExperimentResult,
     quick_cases,
     run_case,
-    run_case_bmstore,
-    run_case_native,
 )
 from repro.obs import MetricsRegistry
 from repro.sim.units import MS
@@ -62,22 +60,6 @@ def test_run_case_is_deterministic_per_seed():
     b = run_case("native", _tiny_spec(), seed=5)
     assert a.fio.ios == b.fio.ios
     assert a.avg_latency_us == b.avg_latency_us
-
-
-# ------------------------------------------------------ deprecated wrappers
-def test_old_runners_warn_and_match_run_case():
-    spec = _tiny_spec()
-    with pytest.warns(DeprecationWarning, match="run_case_native"):
-        old = run_case_native(spec, seed=9)
-    new = run_case("native", spec, seed=9)
-    assert isinstance(old, FioResult)
-    assert old.ios == new.fio.ios
-
-
-def test_old_bmstore_runner_warns():
-    with pytest.warns(DeprecationWarning, match="run_case"):
-        result = run_case_bmstore(_tiny_spec(), seed=9)
-    assert result.ios > 0
 
 
 # ----------------------------------------------------------- table() union

@@ -1,5 +1,4 @@
-"""The SubmissionPolicy value object: parsing, validation, presets, and
-the deprecated per-rig kwarg shims."""
+"""The SubmissionPolicy value object: parsing, validation, presets."""
 
 import pytest
 
@@ -9,7 +8,6 @@ from repro.host.policy import (
     DOORBELL_MODES,
     POLICY_PRESETS,
     SubmissionPolicy,
-    _merge_deprecated_kwargs,
     parse_policy,
     resolve_policy,
 )
@@ -109,40 +107,3 @@ def test_resolve_policy_types():
     with pytest.raises(TypeError):
         resolve_policy(42)
 
-
-# ------------------------------------------------- deprecated kwarg shims
-def test_deprecated_kwargs_map_onto_policy_fields():
-    assert _merge_deprecated_kwargs(None) == DEFAULT_POLICY
-    assert (_merge_deprecated_kwargs(None, doorbell_mode="shadow")
-            == SubmissionPolicy(doorbell="shadow"))
-    assert (_merge_deprecated_kwargs(None, batch_doorbells=16)
-            == SubmissionPolicy(doorbell="batched", batch_depth=16))
-    # a bare coalesce count gets the controller's default timer
-    assert (_merge_deprecated_kwargs(None, coalesce=4)
-            == SubmissionPolicy(coalesce_threshold=4,
-                                coalesce_timeout_ns=8_000))
-    assert (_merge_deprecated_kwargs(None, dma_model="descriptor")
-            == SubmissionPolicy(dma="descriptor"))
-
-
-def test_deprecated_kwargs_layer_over_an_explicit_policy():
-    base = SubmissionPolicy(doorbell="shadow", dma="descriptor")
-    merged = _merge_deprecated_kwargs(base, batch_doorbells=4)
-    assert merged.doorbell == "batched"
-    assert merged.batch_depth == 4
-    assert merged.dma == "descriptor"  # untouched fields survive
-
-
-def test_run_case_warns_on_deprecated_kwargs():
-    from repro.experiments.common import run_case
-    from repro.sim.units import MS
-    from repro.workloads.fio import FioSpec
-
-    spec = FioSpec("policy-probe", "randread", 4096, iodepth=4, numjobs=1,
-                   runtime_ns=2 * MS, ramp_ns=MS // 2)
-    with pytest.warns(DeprecationWarning, match="doorbell_mode"):
-        old = run_case("native", spec, seed=3, doorbell_mode="shadow")
-    new = run_case("native", spec, seed=3,
-                   policy=SubmissionPolicy(doorbell="shadow"))
-    assert old.fio.ios == new.fio.ios
-    assert old.avg_latency_us == new.avg_latency_us

@@ -1,8 +1,8 @@
-"""Tests for deterministic random streams, units, and tracing."""
+"""Tests for deterministic random streams, units, and windowed series."""
 
 import pytest
 
-from repro.sim import SeriesRecorder, Simulator, StreamFactory, Trace
+from repro.sim import SeriesRecorder, Simulator, StreamFactory
 from repro.sim.units import (
     GB,
     MB,
@@ -92,77 +92,8 @@ def test_bandwidth_units():
 
 
 # --------------------------------------------------------------------------
-# Trace / SeriesRecorder
+# SeriesRecorder
 # --------------------------------------------------------------------------
-
-def test_trace_records_time_and_category():
-    sim = Simulator()
-    trace = Trace(sim)
-
-    def proc():
-        trace.record("io", {"op": "read"})
-        yield sim.timeout(100)
-        trace.record("io", {"op": "write"})
-        trace.record("irq")
-
-    sim.process(proc())
-    sim.run()
-    ios = trace.select("io")
-    assert [ev.time_ns for ev in ios] == [0, 100]
-    assert trace.count("irq") == 1
-    trace.clear()
-    assert trace.events == []
-
-
-def test_trace_disabled_records_nothing():
-    sim = Simulator()
-    trace = Trace(sim, enabled=False)
-    trace.record("io")
-    assert trace.count("io") == 0
-
-
-def test_trace_select_uses_category_index():
-    sim = Simulator()
-    trace = Trace(sim)
-    for i in range(10):
-        trace.record("even" if i % 2 == 0 else "odd", i)
-    assert [ev.payload for ev in trace.select("even")] == [0, 2, 4, 6, 8]
-    assert trace.count("odd") == 5
-    assert trace.count("missing") == 0
-    assert trace.select("missing") == []
-    assert len(trace) == 10
-
-
-def test_trace_max_events_evicts_oldest():
-    sim = Simulator()
-    trace = Trace(sim, max_events=3)
-    for i in range(5):
-        trace.record("io", i)
-    assert [ev.payload for ev in trace.events] == [2, 3, 4]
-    assert trace.dropped == 2
-    # the category index drops the same evicted events
-    assert [ev.payload for ev in trace.select("io")] == [2, 3, 4]
-    assert trace.count("io") == 3
-
-
-def test_trace_max_events_eviction_spans_categories():
-    sim = Simulator()
-    trace = Trace(sim, max_events=2)
-    trace.record("a", 1)
-    trace.record("b", 2)
-    trace.record("b", 3)  # evicts the only "a" event
-    assert trace.count("a") == 0
-    assert [ev.payload for ev in trace.select("b")] == [2, 3]
-    assert trace.dropped == 1
-    trace.clear()
-    assert trace.events == [] and trace.dropped == 0
-
-
-def test_trace_rejects_nonpositive_cap():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Trace(sim, max_events=0)
-
 
 def test_series_recorder_bins_rates():
     sim = Simulator()
