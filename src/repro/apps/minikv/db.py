@@ -218,7 +218,7 @@ class MiniKV:
         lock.succeed()
         if len(self.levels[0]) >= self.config.l0_compaction_trigger and not self._compacting:
             self._compacting = True
-            self.sim.process(self._compact_l0(), name=f"{self.name}.compact")
+            self.sim.spawn(self._compact_l0(), name=f"{self.name}.compact")
 
     def _writer(self, level: int, expected: int) -> SSTableWriter:
         self._next_table_id += 1
@@ -284,7 +284,7 @@ class MiniKV:
             self._compacting = False
         if len(self.levels[0]) >= self.config.l0_compaction_trigger:
             self._compacting = True
-            self.sim.process(self._compact_l0(), name=f"{self.name}.compact")
+            self.sim.spawn(self._compact_l0(), name=f"{self.name}.compact")
 
     # ------------------------------------------------------------- pushdown
     def install_pushdown(self):

@@ -57,7 +57,7 @@ class WriteAheadLog:
         done = self._pending_sync
         if not self._sync_running:
             self._sync_running = True
-            self.sim.process(self._sync_proc(), name="wal.syncp")
+            self.sim.spawn(self._sync_proc(), name="wal.syncp")
         return done
 
     def _sync_proc(self):

@@ -79,7 +79,7 @@ class RedoLog:
         done = self._pending
         if not self._running:
             self._running = True
-            self.sim.process(self._sync_proc(), name="redo.syncp")
+            self.sim.spawn(self._sync_proc(), name="redo.syncp")
         return done
 
     def _sync_proc(self):

@@ -95,7 +95,7 @@ class MDevVirtualDisk:
             yield self.sim.timeout(self.target.config.guest_submit_ns)
             self.queue.append(req)
 
-        self.sim.process(guest_submit(), name=f"{self.name}.gsub")
+        self.sim.spawn(guest_submit(), name=f"{self.name}.gsub")
         return done
 
 
@@ -133,7 +133,7 @@ class MDevNVMeTarget:
     def start(self) -> None:
         if not self._started:
             self._started = True
-            self.sim.process(self._poll_loop(), name=f"{self.name}.core")
+            self.sim.spawn(self._poll_loop(), name=f"{self.name}.core")
 
     def _poll_loop(self):
         cfg = self.config
@@ -194,7 +194,7 @@ class MDevNVMeTarget:
                 CompletionInfo(ok, cqe.status, data, self.sim.now - req.start_ns)
             )
 
-        self.sim.process(guest_side(), name=f"{self.name}.girq")
+        self.sim.spawn(guest_side(), name=f"{self.name}.girq")
 
     def cpu_utilization(self, since: int = 0) -> float:
         elapsed = self.sim.now - since

@@ -125,7 +125,7 @@ class VhostBlockDevice:
             self.ring.append(req)
             self.submitted += 1
 
-        self.sim.process(guest_submit(), name=f"{self.name}.gsub")
+        self.sim.spawn(guest_submit(), name=f"{self.name}.gsub")
         return done
 
 
@@ -187,7 +187,7 @@ class SPDKVhostTarget:
             return
         self._started = True
         for core_idx in range(len(self.cores)):
-            self.sim.process(self._poll_loop(core_idx), name=f"{self.name}.core{core_idx}")
+            self.sim.spawn(self._poll_loop(core_idx), name=f"{self.name}.core{core_idx}")
 
     # ------------------------------------------------------------- poll loop
     def _assigned(self, core_idx: int, items: list) -> list:
@@ -287,7 +287,7 @@ class SPDKVhostTarget:
             latency = self.sim.now - req.start_ns
             req.done.succeed(CompletionInfo(ok, cqe.status, data, latency))
 
-        self.sim.process(guest_side(), name="vhost.girq")
+        self.sim.spawn(guest_side(), name="vhost.girq")
 
     # -------------------------------------------------------------- reporting
     def cpu_utilization(self, since: int = 0) -> float:

@@ -69,7 +69,7 @@ class ExtendedBackendSlot:
         if self.paused:
             self.pause_buffer.append(req)
         else:
-            self.sim.process(self._run(req), name=f"{self.name}.fwd")
+            self.sim.spawn(self._run(req), name=f"{self.name}.fwd")
 
     def _run(self, req: _ForwardRequest):
         if self.paused:
@@ -102,7 +102,7 @@ class ExtendedBackendSlot:
         self.paused = False
         buffered, self.pause_buffer = self.pause_buffer, []
         for req in buffered:
-            self.sim.process(self._run(req), name=f"{self.name}.replay")
+            self.sim.spawn(self._run(req), name=f"{self.name}.replay")
 
     def drain(self) -> Event:
         ev = self.sim.event(name=f"{self.name}.drained")

@@ -103,7 +103,7 @@ class BMSController:
 
         # drain in-band admin commands the engine forwards (tenants may
         # probe, but management operations are vendor-only)
-        self.sim.process(self._inband_admin_loop(), name=f"{name}.inband")
+        self.sim.spawn(self._inband_admin_loop(), name=f"{name}.inband")
 
     # --------------------------------------------------------- MCTP plumbing
     def _vdm_transmit(self, dst_eid: int, raw: bytes) -> Event:
@@ -118,7 +118,7 @@ class BMSController:
     # ----------------------------------------------------- NVMe-MI dispatch
     def _on_mi_message(self, src_eid: int, raw: bytes) -> None:
         request = MIRequest.from_bytes(raw)
-        self.sim.process(self._serve(src_eid, request), name=f"{self.name}.mi")
+        self.sim.spawn(self._serve(src_eid, request), name=f"{self.name}.mi")
 
     def _serve(self, src_eid: int, request: MIRequest):
         yield self.sim.timeout(self.timings.command_processing_ns)
@@ -326,8 +326,8 @@ class BMSController:
     def hot_upgrade(self, ssd_id: int, image: FirmwareImage, slot_number: int = 2) -> Event:
         """Firmware hot-upgrade; event fires with an :class:`UpgradeReport`."""
         done = self.sim.event(name=f"{self.name}.upgrade")
-        self.sim.process(self._upgrade_proc(ssd_id, image, slot_number, done),
-                         name=f"{self.name}.upg")
+        self.sim.spawn(self._upgrade_proc(ssd_id, image, slot_number, done),
+                       name=f"{self.name}.upg")
         return done
 
     def _admin_roundtrip(self, slot, sqe: SQE) -> Event:
@@ -395,7 +395,7 @@ class BMSController:
     def hot_plug(self, ssd_id: int) -> Event:
         """Replace the drive in ``ssd_id`` with the staged one."""
         done = self.sim.event(name=f"{self.name}.hotplug")
-        self.sim.process(self._hotplug_proc(ssd_id, done), name=f"{self.name}.hp")
+        self.sim.spawn(self._hotplug_proc(ssd_id, done), name=f"{self.name}.hp")
         return done
 
     def _hotplug_proc(self, ssd_id: int, done: Event):

@@ -190,7 +190,7 @@ class DescriptorRingDMA:
             self.peak_depth = len(self._fifo)
         if not self._worker_live:
             self._worker_live = True
-            self.sim.process(self._worker(), name=f"{self.name}.worker")
+            self.sim.spawn(self._worker(), name=f"{self.name}.worker")
 
     def _worker(self):
         while self._fifo:
@@ -198,11 +198,11 @@ class DescriptorRingDMA:
             self.descriptors += 1
             yield self.sim.timeout(self.per_desc_ns)
             if kind == "w":
-                self.sim.process(self._issue_write(host_addr, length, data),
-                                 name=f"{self.name}.w")
+                self.sim.spawn(self._issue_write(host_addr, length, data),
+                               name=f"{self.name}.w")
             else:
-                self.sim.process(self._issue_read(host_addr, length, done),
-                                 name=f"{self.name}.r")
+                self.sim.spawn(self._issue_read(host_addr, length, done),
+                               name=f"{self.name}.r")
         self._worker_live = False
 
     def _issue_write(self, host_addr: int, length: int, data):

@@ -507,7 +507,7 @@ class BMSEngine:
 
     def _make_vector_raiser(self, fn: FrontEndFunction):
         def raise_vector(vector: int) -> None:
-            fn.function.msix.raise_vector(self.front_port, vector)
+            fn.function.msix.post_vector(self.front_port, vector)
 
         return raise_vector
 
@@ -842,7 +842,7 @@ class BMSEngine:
             yield from self._route_write_proc(host_addr, length, data)
             done.succeed()
 
-        self.sim.process(runner(), name=f"{self.name}.dmawp")
+        self.sim.spawn(runner(), name=f"{self.name}.dmawp")
         return done
 
     def _route_dma_read(self, gaddr: int, length: int) -> Event:
@@ -902,7 +902,7 @@ class BMSEngine:
 
     def _front_irq_thunk(self, fn: FrontEndFunction, cq):
         def fire() -> None:
-            fn.function.msix.raise_vector(self.front_port, cq.irq_vector)
+            fn.function.msix.post_vector(self.front_port, cq.irq_vector)
 
         return fire
 

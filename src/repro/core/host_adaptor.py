@@ -120,7 +120,7 @@ class BackendSlot:
     # ---------------------------------------------------------- admin path
     def forward_admin(self, sqe: SQE, on_complete: Callable[[int], None]) -> None:
         """Issue an admin command to the drive (BMS-Controller use)."""
-        self.sim.process(self._forward_admin(sqe, on_complete), name="slot.admin")
+        self.sim.spawn(self._forward_admin(sqe, on_complete), name="slot.admin")
 
     def _forward_admin(self, sqe: SQE, on_complete: Callable[[int], None]):
         yield self.sim.timeout(self.adaptor.push_ns)
@@ -135,7 +135,7 @@ class BackendSlot:
         yield self.adaptor.backend_fabric.cpu_write(self.ssd.doorbell_addr(0), 4)
 
     def on_admin_cq_write(self) -> None:
-        self.sim.process(self._reap_admin(), name="slot.adminreap")
+        self.sim.spawn(self._reap_admin(), name="slot.adminreap")
 
     def _reap_admin(self):
         yield self.sim.timeout(self.adaptor.cqe_relay_ns)
@@ -165,7 +165,7 @@ class BackendSlot:
         self.paused = False
         buffered, self.pause_buffer = self.pause_buffer, []
         for req in buffered:
-            self.sim.process(self._forward_now(req), name="slot.replay")
+            self.sim.spawn(self._forward_now(req), name="slot.replay")
 
     def drain(self) -> Event:
         """Event firing when no commands remain at the SSD."""
@@ -193,7 +193,7 @@ class BackendSlot:
         if self.paused:
             self.pause_buffer.append(req)
         else:
-            self.sim.process(self._forward_now(req), name="slot.fwd")
+            self.sim.spawn(self._forward_now(req), name="slot.fwd")
 
     def _forward_now(self, req: "_PendingForwardRequest"):
         if self.paused:
@@ -222,7 +222,7 @@ class BackendSlot:
     # ------------------------------------------------------------ completion
     def on_cq_write(self) -> None:
         """The engine saw a DMA write land in this slot's CQ range."""
-        self.sim.process(self._reap(), name="slot.reap")
+        self.sim.spawn(self._reap(), name="slot.reap")
 
     def _reap(self):
         yield self.sim.timeout(self.adaptor.cqe_relay_ns)

@@ -96,10 +96,10 @@ class _NamespaceQoS:
         if self.obs is not None:
             self._c_buffered.inc()
             self._g_depth.add(1)
-        self.buffer.put((gate, nbytes, seq, span))
+        self.buffer.post((gate, nbytes, seq, span))
         if not self._dispatcher_running:
             self._dispatcher_running = True
-            self.sim.process(self._dispatch(), name="qos.dispatch")
+            self.sim.spawn(self._dispatch(), name="qos.dispatch")
         return gate
 
     def _dispatch(self):

@@ -93,7 +93,7 @@ class TargetController:
         self.admin_forwarded += 1
         if obs is not None:
             obs.counter("tc_admin_forwarded", fn=str(fn.fn_id)).inc()
-        self.admin_mailbox.put(AdminRequest(self.engine, fn, qid, sqe))
+        self.admin_mailbox.post(AdminRequest(self.engine, fn, qid, sqe))
 
     def _engine_local_admin(self, fn: "FrontEndFunction", qid: int, sqe: SQE):
         opcode = sqe.opcode

@@ -104,8 +104,8 @@ def _run_arm(cell: BurstCell, setup_bytes: int, cxl: bool) -> dict:
     def spawn(driver, count, ops, blocks, write_every, label):
         for tag in range(count):
             outstanding["n"] += 1
-            sim.process(worker(driver, tag, ops, blocks, write_every),
-                        name=f"{label}{tag}")
+            sim.spawn(worker(driver, tag, ops, blocks, write_every),
+                      name=f"{label}{tag}")
 
     def drain():
         while outstanding["n"] > 0:

@@ -152,7 +152,7 @@ def _run_class(name: str, plan: FaultPlan, orchestrate: Optional[Callable],
         stop["flag"] = True
 
     for tag in range(8):
-        sim.process(io_worker(tag), name=f"io{tag}")
+        sim.spawn(io_worker(tag), name=f"io{tag}")
     sim.run(sim.process(observe(), name="observe"))
     # drain in-flight retries; bounded because the watchdog never stops
     sim.run(until=sim.now + 200 * MS)

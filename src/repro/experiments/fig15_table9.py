@@ -54,7 +54,7 @@ def _one_direction(op: str, seed: int, activation_s: float) -> dict:
         return resp1, resp2
 
     for tag in range(8):
-        sim.process(io_worker(tag), name=f"io{tag}")
+        sim.spawn(io_worker(tag), name=f"io{tag}")
     resp1, resp2 = sim.run(sim.process(orchestrate(), name="orch"))
     sim.run(until=sim.now + sec(0.1))
     reports = [resp1.body, resp2.body]

@@ -102,7 +102,7 @@ class FaultInjector:
             return
         self._started = True
         for spec in self._timeline:
-            self.sim.process(self._timeline_proc(spec), name=f"fault.{spec.kind}")
+            self.sim.spawn(self._timeline_proc(spec), name=f"fault.{spec.kind}")
 
     # ------------------------------------------------------------ recording
     def _record(self, kind: str, target: str, span=None) -> None:

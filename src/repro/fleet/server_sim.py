@@ -219,17 +219,17 @@ def run_server(spec: ServerRunSpec) -> dict:
     def arrival_proc(arrival: MigrationArrival):
         yield sim.timeout(arrival.serve_from_ns)
         for tag in range(arrival.tenant.workers):
-            sim.process(tenant_worker(arrival.tenant, tag),
-                        name=f"{arrival.tenant.name}.{tag}")
+            sim.spawn(tenant_worker(arrival.tenant, tag),
+                      name=f"{arrival.tenant.name}.{tag}")
 
     for tenant in spec.tenants:
         for tag in range(tenant.workers):
-            sim.process(tenant_worker(tenant, tag),
-                        name=f"{tenant.name}.{tag}")
+            sim.spawn(tenant_worker(tenant, tag),
+                      name=f"{tenant.name}.{tag}")
     for plan in spec.migrate_out:
-        sim.process(migrate_proc(plan), name=f"{plan.tenant}.migrate")
+        sim.spawn(migrate_proc(plan), name=f"{plan.tenant}.migrate")
     for arrival in spec.migrate_in:
-        sim.process(arrival_proc(arrival), name=f"{arrival.tenant.name}.arrive")
+        sim.spawn(arrival_proc(arrival), name=f"{arrival.tenant.name}.arrive")
     sim.run(sim.process(orchestrate(), name=f"{spec.server}.orch"))
     # drain in-flight retries so error/latency accounting is complete
     sim.run(until=sim.now + 100 * MS)

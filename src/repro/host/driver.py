@@ -181,7 +181,7 @@ class NVMeDriver:
                 self._c_completed[qid] = self.obs.counter(
                     "driver_completed", driver=self.name, qid=q)
         self._cqe_stores[qid] = Store(self.sim, name=f"{self.name}.cqe{qid}")
-        self.sim.process(self._completion_worker(qid), name=f"{self.name}.sirq{qid}")
+        self.sim.spawn(self._completion_worker(qid), name=f"{self.name}.sirq{qid}")
         return qp
 
     def _setup_admin_queue(self) -> None:
@@ -343,13 +343,18 @@ class NVMeDriver:
         for attempt in range(attempts):
             handle: dict[str, Any] = {}
             inner = self.sim.event(name=f"{self.name}.attempt")
-            self.sim.process(
+            self.sim.spawn(
                 self._submit_proc(opcode, lba, nblocks, payload, want_data,
                                   inner, handle),
                 name=f"{self.name}.submit",
             )
             if policy.timeout_ns:
-                yield self.sim.any_of([inner, self.sim.timeout(policy.timeout_ns)])
+                deadline = self.sim.timeout(policy.timeout_ns)
+                yield self.sim.any_of([inner, deadline])
+                if not deadline.processed:
+                    # the attempt finished first; firing later would
+                    # only poke the settled AnyOf, so drop the timer
+                    deadline.cancel()
             else:
                 yield inner
             if inner.triggered:
@@ -505,8 +510,8 @@ class NVMeDriver:
             if (self.policy.batch_timeout_ns > 0
                     and qid not in self._batch_timer_live):
                 self._batch_timer_live.add(qid)
-                self.sim.process(self._batch_deadline(qid),
-                                 name=f"{self.name}.dbflush{qid}")
+                self.sim.spawn(self._batch_deadline(qid),
+                               name=f"{self.name}.dbflush{qid}")
 
     def _flush_doorbell(self, qid: int, qp: QueuePair):
         batched, self._unrung[qid] = self._unrung[qid], 0
@@ -547,7 +552,7 @@ class NVMeDriver:
             if cqe is None:
                 break
             drained += 1
-            self._cqe_stores[qid].put(cqe)
+            self._cqe_stores[qid].post(cqe)
         if drained:
             yield self.host.fabric.cpu_write(qp.cq_doorbell, 4)
 
@@ -619,7 +624,7 @@ class NVMeDriver:
         payload: Any = None,
     ) -> Event:
         done = self.sim.event(name=f"{self.name}.admin")
-        self.sim.process(
+        self.sim.spawn(
             self._admin_proc(opcode, cdw10, cdw11, prp1, payload, done),
             name=f"{self.name}.adminp",
         )

@@ -91,7 +91,7 @@ class MCTPEndpoint:
 
         self._tag_pool = Store(sim, name=f"{name}.tags")
         for tag in range(8):
-            self._tag_pool.put(tag)
+            self._tag_pool.post(tag)
         self._handlers: dict[int, Callable[[int, bytes], None]] = {}
         self._partial: dict[tuple[int, int], _Reassembly] = {}
         self.packets_sent = 0
@@ -106,8 +106,8 @@ class MCTPEndpoint:
     def send_message(self, dst_eid: int, msg_type: int, message: bytes) -> Event:
         """Fragment + transmit; event fires when the last packet is sent."""
         done = self.sim.event(name=f"{self.name}.send")
-        self.sim.process(self._send_proc(dst_eid, msg_type, message, done),
-                         name=f"{self.name}.tx")
+        self.sim.spawn(self._send_proc(dst_eid, msg_type, message, done),
+                       name=f"{self.name}.tx")
         return done
 
     def _send_proc(self, dst_eid: int, msg_type: int, message: bytes, done: Event):
@@ -128,7 +128,7 @@ class MCTPEndpoint:
                 yield self._transmit(dst_eid, packet.to_bytes())
                 self.packets_sent += 1
         finally:
-            self._tag_pool.put(tag)
+            self._tag_pool.post(tag)
         done.succeed()
 
     # --------------------------------------------------------------- receive

@@ -120,7 +120,7 @@ class FlashBackend:
         yield self._write_buffer.acquire()
         ack = self.rng.jitter_ns(self.profile.write_ack_ns, self.profile.jitter_cv)
         yield self.sim.timeout(ack)
-        self.sim.process(self._drain(nbytes), name=f"{self.name}.drain")
+        self.sim.spawn(self._drain(nbytes), name=f"{self.name}.drain")
         self.stats.writes += 1
         self.stats.write_bytes += nbytes
 

@@ -307,7 +307,7 @@ class CQECoalescer:
             return
         if self.cq.coalesce_timeout_ns > 0 and not self._timer_live:
             self._timer_live = True
-            self.sim.process(self._timer(), name=f"cq{self.cq.cqid}.coalesce")
+            self.sim.spawn(self._timer(), name=f"cq{self.cq.cqid}.coalesce")
 
     def _timer(self):
         yield self.sim.timeout(self.cq.coalesce_timeout_ns)

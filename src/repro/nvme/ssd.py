@@ -242,7 +242,7 @@ class NVMeSSD:
 
     def _fire_vector(self, cq):
         def fire() -> None:
-            self.function.msix.raise_vector(self.port, cq.irq_vector)
+            self.function.msix.post_vector(self.port, cq.irq_vector)
         return fire
 
     # ------------------------------------------------------------------- I/O

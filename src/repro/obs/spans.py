@@ -28,6 +28,7 @@ an engine (native, VFIO) legitimately never stamp them.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator, Optional
 
 __all__ = ["STAGES", "STAMP_ORDER", "IOSpan", "SpanLog"]
@@ -58,7 +59,7 @@ STAMP_ORDER = (
     "interrupt",
 )
 
-_ORDER_INDEX = {name: i for i, name in enumerate(STAMP_ORDER)}
+_KNOWN_STAGES = frozenset(STAMP_ORDER)
 
 
 class IOSpan:
@@ -102,11 +103,16 @@ class IOSpan:
         return True
 
     def ordered_stamps(self) -> list[tuple[str, int]]:
-        """(stage, time) pairs in datapath order (unknown stages last)."""
-        return sorted(
-            self.stamps.items(),
-            key=lambda kv: (_ORDER_INDEX.get(kv[0], len(STAMP_ORDER)), kv[1]),
-        )
+        """(stage, time) pairs in datapath order (unknown stages last,
+        by time)."""
+        stamps = self.stamps
+        ordered = [(stage, stamps[stage]) for stage in STAMP_ORDER if stage in stamps]
+        if len(ordered) < len(stamps):
+            ordered += sorted(
+                ((stage, t) for stage, t in stamps.items() if stage not in _KNOWN_STAGES),
+                key=itemgetter(1),
+            )
+        return ordered
 
     def stage_deltas(self) -> list[tuple[str, int]]:
         """Per-stage durations: each stamped stage labeled with the time

@@ -90,7 +90,12 @@ class Port:
     # -- endpoint-initiated transactions ----------------------------------
     def mem_write(self, addr: int, length: int, data: Optional[bytes] = None) -> Event:
         """DMA write toward the fabric; event fires on delivery."""
-        return self.fabric._routed_write(self, addr, length, data)
+        return self.fabric._routed_write(self, addr, length, data, notify=True)
+
+    def post_write(self, addr: int, length: int, data: Optional[bytes] = None) -> None:
+        """:meth:`mem_write` for a sender that never waits on delivery:
+        the write lands at the same instant, with no completion event."""
+        self.fabric._routed_write(self, addr, length, data, notify=False)
 
     def mem_read(self, addr: int, length: int) -> Event:
         """DMA read; event fires with the data when the completion lands."""
@@ -193,14 +198,16 @@ class PCIeFabric:
         return result
 
     # -- routed transactions -------------------------------------------------
-    def _routed_write(self, src: Port, addr: int, length: int, data: Optional[bytes]) -> Event:
+    def _routed_write(self, src: Port, addr: int, length: int,
+                      data: Optional[bytes], notify: bool) -> Optional[Event]:
         handler, dst_port = self._resolve(addr)
         nbytes = wire_bytes(length)
-        done = self.sim.pooled_event(self._wr_name)
+        done = self.sim.pooled_event(self._wr_name) if notify else None
 
         def deliver(_ev: Event) -> None:
             handler.mem_write(addr, length, data)
-            done.succeed()
+            if done is not None:
+                done.succeed()
 
         leg1 = src.tx.transfer(nbytes)
         if dst_port is None or dst_port is src:

@@ -45,12 +45,19 @@ class MSIXTable:
         self.entry(vector).masked = masked
 
     def raise_vector(self, port: Port, vector: int) -> Optional[Event]:
-        """Send the interrupt message; returns None if masked."""
+        """Send the interrupt message; returns an event firing on
+        delivery, or None if masked."""
         entry = self.entry(vector)
         if entry.masked:
             return None
-        data = entry.data.to_bytes(4, "little")
-        return port.mem_write(entry.address, 4, data)
+        return port.mem_write(entry.address, 4, entry.data.to_bytes(4, "little"))
+
+    def post_vector(self, port: Port, vector: int) -> None:
+        """:meth:`raise_vector` for a device that never waits on the
+        delivery: a posted write with no completion event."""
+        entry = self.entry(vector)
+        if not entry.masked:
+            port.post_write(entry.address, 4, entry.data.to_bytes(4, "little"))
 
 
 class InterruptController:

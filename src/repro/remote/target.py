@@ -59,8 +59,8 @@ class RemoteStorageTarget:
                 payload: Optional[bytes] = None) -> Event:
         """Serve one capsule; the event fires with a RemoteCompletion."""
         done = self.sim.event(name=f"{self.name}.cmd")
-        self.sim.process(self._serve(op, lba, nblocks, payload, done),
-                         name=f"{self.name}.serve")
+        self.sim.spawn(self._serve(op, lba, nblocks, payload, done),
+                       name=f"{self.name}.serve")
         return done
 
     def _serve(self, op, lba, nblocks, payload, done: Event):

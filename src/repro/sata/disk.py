@@ -110,7 +110,7 @@ class SATADisk:
     ) -> Event:
         """Queue one command; the event fires with a SATACompletion."""
         done = self.sim.event(name=f"{self.name}.cmd")
-        self.sim.process(
+        self.sim.spawn(
             self._execute(op, lba, nblocks, payload, want_data, done),
             name=f"{self.name}.exec",
         )

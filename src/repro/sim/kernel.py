@@ -8,25 +8,22 @@ kernel resumes a process when the event it waits on fires.
 Simulated time is an integer number of **nanoseconds**.  Using integers
 keeps event ordering exact and runs reproducible.
 
-Schedulers
+Scheduling
 ----------
-Two interchangeable event queues implement the same total order
-``(time, seq)``; select with ``REPRO_SCHED=heap|wheel`` (default
-``wheel``) or ``Simulator(sched=...)``:
+Events fire in the total order ``(time, seq)``: ``seq`` is a global
+counter taken when an event is scheduled, so same-instant events fire
+FIFO.  Future events wait in one binary heap of ``(time, seq, event)``
+tuples.
 
-* ``heap`` — the reference implementation: one binary heap of
-  ``(time, seq, event)`` tuples.  Simple, obviously correct, kept
-  forever as the oracle the wheel is byte-compared against in CI.
-* ``wheel`` — a calendar queue tuned to the simulator's bimodal delay
-  distribution.  Near-term events (pipeline stages, doorbells, link
-  serialization — almost always within a few microseconds) land in
-  128 ns-wide slots inside a bounded calendar window; each occupied
-  slot is one dict bucket, and a small heap of slot numbers replaces
-  the big event heap.  Far-future events (flash service tails,
-  firmware activation timers) overflow into a plain heap and cascade
-  into the window in batches as the clock reaches them.  Ordering is
-  exactly ``(time, seq)``: the slot being drained is kept as a wee
-  heap so same-slot inserts stay ordered.
+**An event that no one can observe is never scheduled.**  A process
+started with :meth:`Simulator.spawn` has no handle, so nothing can wait
+on its completion: it finishes without a completion event.  Callers
+that never wait on a put, a posted write or an interrupt use the
+posted forms (:meth:`~repro.sim.resources.Store.post`,
+``Port.post_write``, ``MSIXTable.post_vector``), which skip the
+completion event instead of scheduling one that would fire with no
+callbacks.  Such an event would run nothing, so leaving it out cannot
+move any other callback in the dispatch order.
 
 Fast path
 ---------
@@ -34,10 +31,10 @@ The per-event cost of this loop is the wall-clock of the whole repo, so
 the dispatch machinery is deliberately flat:
 
 * **Now-bucket**: the majority of schedules are zero-delay (completion
-  deliveries, process bootstraps, replays).  Those bypass the scheduler
+  deliveries, process bootstraps, replays).  Those bypass the heap
   into a FIFO *bucket for the current instant* holding bare events
   (the sequence number rides on ``event._seq``); only genuinely future
-  events pay the scheduler insert.
+  events pay the heap push.
 * **Inlined dispatch**: :meth:`Simulator.run` and
   :meth:`Simulator.step` run callbacks inline rather than bouncing
   through per-event helper calls.
@@ -45,9 +42,10 @@ the dispatch machinery is deliberately flat:
   ``yield sim.timeout(d)`` pattern), generic events handed out by
   :meth:`Simulator.pooled_event` / :meth:`Simulator.fired_event`, and
   fire-and-forget processes started with :meth:`Simulator.spawn` are
-  all recycled through per-simulator free lists, so steady-state
-  dispatch allocates nothing.  The pooling invariant: **a pooled
-  object must not be referenced after its event is dispatched** — no
+  all recycled through per-simulator free lists (a spawned process
+  the moment its generator returns), so steady-state dispatch
+  allocates nothing.  The pooling invariant: **a pooled object must
+  not be referenced after its event is dispatched** — no
   reading ``.value`` later, no late ``cancel()``, no stashing it in a
   container that outlives the dispatch.  Events referenced by
   conditions or by ``run(until=event)`` are pinned and never recycled;
@@ -56,9 +54,8 @@ the dispatch machinery is deliberately flat:
 
 from __future__ import annotations
 
-import heapq
-import os
 from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -76,10 +73,6 @@ __all__ = [
 _TIMEOUT_POOL_CAP = 512
 _EVENT_POOL_CAP = 1024
 _PROCESS_POOL_CAP = 512
-
-#: calendar-queue geometry: 128 ns slots, 4096-slot window (~524 us)
-_WHEEL_SHIFT = 7
-_WHEEL_SLOTS = 4096
 
 
 class SimulationError(Exception):
@@ -163,7 +156,8 @@ class Event:
         else:
             if delay < 0:
                 raise SimulationError(f"cannot schedule into the past (delay={delay})")
-            sim._insert(sim.now + int(delay), self)
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._heap, (sim.now + int(delay), seq, self))
         return self
 
     def fail(self, exc: Any, delay: int = 0) -> "Event":
@@ -188,7 +182,8 @@ class Event:
         else:
             if delay < 0:
                 raise SimulationError(f"cannot schedule into the past (delay={delay})")
-            sim._insert(sim.now + int(delay), self)
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._heap, (sim.now + int(delay), seq, self))
         return self
 
     def cancel(self) -> None:
@@ -247,12 +242,12 @@ class Timeout(Event):
         self._recycle = 1
         self._delay = delay
         self.name = "Timeout"
+        sim._seq = seq = sim._seq + 1
         if delay == 0:
-            sim._seq = seq = sim._seq + 1
             self._seq = seq
             sim._nowq.append(self)
         else:
-            sim._insert(sim.now + int(delay), self)
+            heappush(sim._heap, (sim.now + int(delay), seq, self))
 
     @property
     def delay(self) -> int:
@@ -316,9 +311,19 @@ class Process(Event):
                     )
                 target = self._generator.throw(err)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            if self._recycle:
+                # spawned: no handle exists, so nothing can observe the
+                # completion — recycle instead of scheduling a no-op
+                sim._release_process(self)
+            else:
+                self.succeed(stop.value)
             return
         except BaseException as exc:
+            if self._recycle:
+                if sim.strict:
+                    raise
+                sim._release_process(self)
+                return
             if self.callbacks or not sim.strict:
                 # someone is waiting (or the user opted out of strict
                 # crash-on-unobserved): deliver the failure to them
@@ -417,8 +422,8 @@ class AllOf(_Condition):
 
 
 class Simulator:
-    """The event loop: a now-bucket FIFO plus a scheduler for future
-    events (calendar queue by default, binary heap as the reference).
+    """The event loop: a now-bucket FIFO plus a binary heap of future
+    events, dispatched in ``(time, seq)`` order.
 
     Parameters
     ----------
@@ -426,9 +431,6 @@ class Simulator:
         When True (default), an uncaught exception inside a process
         fails the process event instead of propagating, unless nothing
         waits on it.
-    sched:
-        ``"heap"`` or ``"wheel"``; defaults to the ``REPRO_SCHED``
-        environment variable, then ``"wheel"``.
 
     Attributes
     ----------
@@ -440,17 +442,12 @@ class Simulator:
         only the dispatch loop advances it).
     """
 
-    def __init__(self, strict: bool = True, sched: Optional[str] = None):
-        if sched is None:
-            sched = os.environ.get("REPRO_SCHED", "wheel")
-        if sched not in ("heap", "wheel"):
-            raise SimulationError(
-                f"unknown scheduler {sched!r}; REPRO_SCHED must be 'heap' or 'wheel'"
-            )
-        self.sched = sched
+    def __init__(self, strict: bool = True):
         self.now: int = 0
         #: zero-delay events at the current instant, FIFO (seq on event)
         self._nowq: deque[Event] = deque()
+        #: future events as (time, seq, event)
+        self._heap: list[tuple[int, int, Event]] = []
         self._seq = 0
         self._timeout_pool: list[Timeout] = []
         self._event_pool: list[Event] = []
@@ -459,24 +456,6 @@ class Simulator:
         self.strict = strict
         #: bound CheckContext (kernel checker); None = dormant, zero-cost
         self.checks = None
-        if sched == "wheel":
-            #: occupied calendar slots: absolute slot number -> entry list
-            self._buckets: dict[int, list] = {}
-            #: heap of occupied slot numbers (each pushed exactly once)
-            self._slot_heap: list[int] = []
-            #: far-future events beyond the calendar window
-            self._overflow: list[tuple[int, int, Event]] = []
-            #: the slot currently being drained, as a (time, seq, event)
-            #: heap so same-slot inserts keep exact order; persistent
-            #: list object (the run loop holds a local reference)
-            self._active: list[tuple[int, int, Event]] = []
-            self._active_slot = -1
-            self._wheel_limit = _WHEEL_SLOTS
-            self._insert = self._insert_wheel
-            self._heap = None
-        else:
-            self._heap: list[tuple[int, int, Event]] = []
-            self._insert = self._insert_heap
 
     # `now` is a plain attribute for speed; `_now` remains as a
     # compatibility alias for checkers and tests
@@ -542,34 +521,34 @@ class Simulator:
             t._value = value
             t._processed = False
             t._delay = delay
+            self._seq = seq = self._seq + 1
             if delay == 0:
-                self._seq = seq = self._seq + 1
                 t._seq = seq
                 self._nowq.append(t)
             else:
-                self._insert(self.now + int(delay), t)
+                heappush(self._heap, (self.now + int(delay), seq, t))
             return t
         return Timeout(self, delay, value)
 
     def process(self, generator: Generator, name: str = "") -> Process:
+        """Start a process and return its handle, an event that fires
+        when the generator returns.  Use :meth:`spawn` when the handle
+        would be thrown away."""
         return Process(self, generator, name)
 
     def spawn(self, generator: Generator, name: str = "") -> None:
         """Start a fire-and-forget process whose bookkeeping object is
         recycled when it finishes.
 
-        Unlike :meth:`process` this returns no handle — by design: the
-        process object goes back to a free list the moment its
-        completion event is dispatched, so no reference may outlive it
-        (no ``interrupt``, no ``yield``-ing it, no reading ``.value``).
+        Unlike :meth:`process` this returns no handle — by design: with
+        no handle, nothing can wait on the process, so it finishes
+        without scheduling a completion event and its object goes
+        straight back to a free list.  An uncaught exception inside it
+        still propagates out of :meth:`run` on a strict simulator.
         """
         pool = self._process_pool
         if pool:
             p = pool.pop()
-            p._value = None
-            p._ok = True
-            p._triggered = False
-            p._processed = False
             p.name = name
         else:
             p = Process.__new__(Process)
@@ -589,117 +568,49 @@ class Simulator:
         init = self.timeout(0)
         init.callbacks.append(p._rcb)
 
+    def _release_process(self, p: Process) -> None:
+        """Return a finished spawned process to the free list."""
+        p._generator = None
+        pool = self._process_pool
+        if len(pool) < _PROCESS_POOL_CAP:
+            pool.append(p)
+
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    # -- scheduling --------------------------------------------------------
-    def _schedule(self, event: Event, delay: int = 0) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        if delay == 0:
-            self._seq = seq = self._seq + 1
-            event._seq = seq
-            self._nowq.append(event)
-        else:
-            self._insert(self.now + int(delay), event)
-
-    def _insert_heap(self, when: int, event: Event) -> None:
-        self._seq = seq = self._seq + 1
-        heapq.heappush(self._heap, (when, seq, event))
-
-    def _insert_wheel(self, when: int, event: Event) -> None:
-        self._seq = seq = self._seq + 1
-        s = when >> _WHEEL_SHIFT
-        if s <= self._active_slot:
-            # insert into the slot currently being drained: keep order
-            # by pushing into the active mini-heap
-            heapq.heappush(self._active, (when, seq, event))
-        elif s < self._wheel_limit:
-            buckets = self._buckets
-            b = buckets.get(s)
-            if b is None:
-                buckets[s] = [(when, seq, event)]
-                heapq.heappush(self._slot_heap, s)
-            else:
-                b.append((when, seq, event))
-        else:
-            heapq.heappush(self._overflow, (when, seq, event))
-
-    def _refill_wheel(self) -> bool:
-        """Advance to the next occupied calendar slot, cascading a
-        window of overflow events in first if the calendar is empty.
-        Returns False when nothing at all is scheduled."""
-        sh = self._slot_heap
-        if not sh:
-            ov = self._overflow
-            if not ov:
-                return False
-            # cascade: re-anchor the window at the earliest overflow
-            # event and pull everything now inside it into the calendar
-            base = ov[0][0] >> _WHEEL_SHIFT
-            limit = base + _WHEEL_SLOTS
-            self._wheel_limit = limit
-            buckets = self._buckets
-            heappush, heappop = heapq.heappush, heapq.heappop
-            while ov and (ov[0][0] >> _WHEEL_SHIFT) < limit:
-                entry = heappop(ov)
-                s = entry[0] >> _WHEEL_SHIFT
-                b = buckets.get(s)
-                if b is None:
-                    buckets[s] = [entry]
-                    heappush(sh, s)
-                else:
-                    b.append(entry)
-        s = heapq.heappop(sh)
-        active = self._active
-        active += self._buckets.pop(s)
-        heapq.heapify(active)
-        self._active_slot = s
-        return True
-
+    # -- dispatch ----------------------------------------------------------
     def _pop_next(self) -> Optional[Event]:
         """The next live event in (time, seq) order, advancing the
         clock; None when nothing is scheduled.  Defunct events are
         discarded without running their callbacks."""
         nowq = self._nowq
-        if self.sched == "wheel":
-            active = self._active
-            while True:
-                if nowq:
-                    if active and active[0][0] <= self.now and active[0][1] < nowq[0]._seq:
-                        event = heapq.heappop(active)[2]
-                    else:
-                        event = nowq.popleft()
-                elif active:
-                    when = active[0][0]
-                    event = heapq.heappop(active)[2]
-                    self.now = when
-                else:
-                    if not self._refill_wheel():
-                        return None
-                    continue
-                if event._defunct:
-                    continue
-                return event
         heap = self._heap
         while True:
             if nowq:
                 if heap and heap[0][0] <= self.now and heap[0][1] < nowq[0]._seq:
-                    event = heapq.heappop(heap)[2]
+                    event = heappop(heap)[2]
                 else:
                     event = nowq.popleft()
             elif heap:
-                when = heap[0][0]
-                event = heapq.heappop(heap)[2]
+                when, _, event = heappop(heap)
                 self.now = when
             else:
                 return None
-            if event._defunct:
-                continue
-            return event
+            if not event._defunct:
+                return event
+
+    def _return_to_pool(self, event: Event) -> None:
+        if event._recycle == 1:
+            pool = self._timeout_pool
+            if len(pool) < _TIMEOUT_POOL_CAP:
+                pool.append(event)
+        else:
+            pool = self._event_pool
+            if len(pool) < _EVENT_POOL_CAP:
+                pool.append(event)
 
     def step(self) -> None:
         """Process the single next event.
@@ -719,34 +630,13 @@ class Simulator:
             event.callbacks = []
             for cb in callbacks:
                 cb(event)
-        r = event._recycle
-        if r and not event._pinned:
-            if r == 1:
-                pool = self._timeout_pool
-                if len(pool) < _TIMEOUT_POOL_CAP:
-                    pool.append(event)
-            elif r == 2:
-                pool = self._event_pool
-                if len(pool) < _EVENT_POOL_CAP:
-                    pool.append(event)
-            else:
-                event._generator = None
-                pool = self._process_pool
-                if len(pool) < _PROCESS_POOL_CAP:
-                    pool.append(event)
+        if event._recycle and not event._pinned:
+            self._return_to_pool(event)
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or None if none is queued."""
         if self._nowq:
             return self.now
-        if self.sched == "wheel":
-            if self._active:
-                return self._active[0][0]
-            if self._slot_heap:
-                return min(self._buckets[self._slot_heap[0]])[0]
-            if self._overflow:
-                return self._overflow[0][0]
-            return None
         return self._heap[0][0] if self._heap else None
 
     def run(self, until: Any = None) -> Any:
@@ -773,14 +663,10 @@ class Simulator:
         # function call removed here is removed a million times per
         # reproduced figure.
         nowq = self._nowq
-        heappop = heapq.heappop
+        heap = self._heap
         tpool = self._timeout_pool
         epool = self._event_pool
-        ppool = self._process_pool
         checks = self.checks
-        wheel = self.sched == "wheel"
-        active = self._active if wheel else self._heap
-        refill = self._refill_wheel if wheel else None
         now = self.now
         dispatched = 0
         try:
@@ -788,18 +674,16 @@ class Simulator:
                 if stop is not None and stop._processed:
                     break
                 if nowq:
-                    if active and active[0][0] <= now and active[0][1] < nowq[0]._seq:
-                        event = heappop(active)[2]
+                    if heap and heap[0][0] <= now and heap[0][1] < nowq[0]._seq:
+                        event = heappop(heap)[2]
                     else:
                         event = nowq.popleft()
-                elif active:
-                    when = active[0][0]
+                elif heap:
+                    when = heap[0][0]
                     if horizon is not None and when > horizon:
                         break
-                    event = heappop(active)[2]
+                    event = heappop(heap)[2]
                     self.now = now = when
-                elif wheel and refill():
-                    continue
                 else:
                     if stop is not None:
                         raise SimulationError(
@@ -822,13 +706,8 @@ class Simulator:
                     if r == 1:
                         if len(tpool) < _TIMEOUT_POOL_CAP:
                             tpool.append(event)
-                    elif r == 2:
-                        if len(epool) < _EVENT_POOL_CAP:
-                            epool.append(event)
-                    else:
-                        event._generator = None
-                        if len(ppool) < _PROCESS_POOL_CAP:
-                            ppool.append(event)
+                    elif len(epool) < _EVENT_POOL_CAP:
+                        epool.append(event)
         finally:
             self.events_processed += dispatched
 

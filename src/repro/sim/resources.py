@@ -87,7 +87,8 @@ class Store:
     """An unbounded (or bounded) FIFO queue of items.
 
     ``put`` never blocks when unbounded; ``get`` returns an event that
-    fires with the next item.
+    fires with the next item.  ``post`` is ``put`` without the
+    completion event, for callers that discard it.
     """
 
     def __init__(self, sim: Simulator, capacity: Optional[int] = None, name: str = "store"):
@@ -98,7 +99,7 @@ class Store:
         self._get_name = "get:" + name
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
+        self._putters: Deque[tuple[Optional[Event], Any]] = deque()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -108,16 +109,30 @@ class Store:
         return tuple(self._items)
 
     def put(self, item: Any) -> Event:
-        sim = self.sim
-        if self._getters:
-            self._getters.popleft().succeed(item)
-            return sim.fired_event(item, name=self._put_name)
-        if self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            return sim.fired_event(item, name=self._put_name)
-        ev = sim.pooled_event(name=self._put_name)
+        """Enqueue ``item``; the returned event fires once it is in."""
+        if self._offer(item):
+            return self.sim.fired_event(item, name=self._put_name)
+        ev = self.sim.pooled_event(name=self._put_name)
         self._putters.append((ev, item))
         return ev
+
+    def post(self, item: Any) -> None:
+        """:meth:`put` for callers that never wait on the put: the same
+        FIFO delivery, minus a completion event no one would observe.
+        On a full bounded store the item waits for room like a put."""
+        if not self._offer(item):
+            self._putters.append((None, item))
+
+    def _offer(self, item: Any) -> bool:
+        """Hand ``item`` to the oldest getter or enqueue it; False when
+        a bounded store is full."""
+        if self._getters:
+            self._getters.popleft().succeed(item)
+            return True
+        if self.capacity is None or len(self._items) < self.capacity:
+            self._items.append(item)
+            return True
+        return False
 
     def get(self) -> Event:
         if self._items:
@@ -125,7 +140,8 @@ class Store:
             if self._putters:
                 put_ev, item = self._putters.popleft()
                 self._items.append(item)
-                put_ev.succeed(item)
+                if put_ev is not None:
+                    put_ev.succeed(item)
             return ev
         ev = self.sim.pooled_event(name=self._get_name)
         self._getters.append(ev)

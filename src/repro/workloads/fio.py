@@ -137,7 +137,7 @@ class FioRun:
             rng = streams.stream(f"{tag}.job{job}", extra=job)
             for worker in range(spec.iodepth):
                 self._live_jobs += 1
-                sim.process(
+                sim.spawn(
                     self._worker(job, worker, target, rng),
                     name=f"{tag}.j{job}w{worker}",
                 )

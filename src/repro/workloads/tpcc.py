@@ -153,7 +153,7 @@ class TPCCRun:
         for t in range(self.spec.threads):
             self._live += 1
             rng = self.streams.stream(f"{self.tag}.t{t}", extra=t)
-            self.sim.process(self._terminal(rng), name=f"{self.tag}.c{t}")
+            self.sim.spawn(self._terminal(rng), name=f"{self.tag}.c{t}")
 
     def _pick_type(self, rng: RandomStream) -> str:
         x = rng.random()

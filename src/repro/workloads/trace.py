@@ -164,7 +164,7 @@ def replay_trace(
                 lambda e, r=record, t=issue_ns: on_done(r, t, e.value)
             )
 
-    sim.process(issuer(), name=f"{tag}.issuer")
+    sim.spawn(issuer(), name=f"{tag}.issuer")
     sim.run(finished)
     return TraceResult(
         issued=total,

@@ -117,7 +117,7 @@ class YCSBRun:
         for t in range(self.spec.threads):
             self._live += 1
             rng = self.streams.stream(f"{self.tag}.t{t}", extra=t)
-            self.sim.process(self._client(rng), name=f"{self.tag}.c{t}")
+            self.sim.spawn(self._client(rng), name=f"{self.tag}.c{t}")
 
     def _pick_op(self, rng: RandomStream) -> str:
         x = rng.random()

@@ -122,3 +122,19 @@ def test_submissions_after_removal_fail_fast():
     info = _read(rig, driver)
     assert not info.ok
     assert info.status == int(StatusCode.NAMESPACE_NOT_READY)
+
+
+def test_completed_attempt_cancels_its_deadline_timer():
+    """A command that completes before its deadline leaves no live
+    timer behind: the deadline is cancelled, so it never dispatches
+    (it would only poke the already-settled AnyOf)."""
+    plan = FaultPlan().with_driver_policy(timeout_ns=ms(50), max_retries=2)
+    rig = build_native(1, faults=plan)
+    driver = rig.driver()
+    info = _read(rig, driver)
+    assert info.ok and info.latency_ns < ms(1)
+    deadlines = [ev for _, _, ev in rig.sim._heap
+                 if getattr(ev, "delay", None) == ms(50)]
+    assert len(deadlines) == 1 and deadlines[0].defunct
+    rig.sim.run(until=rig.sim.now + ms(60))
+    assert not deadlines[0].processed

@@ -1,188 +1,27 @@
-"""Calendar-queue (wheel) scheduler edges: overflow cascade, far-future
-events, cancelled-event skipping, empty-wheel step, and exact dispatch
-order agreement with the reference heap scheduler."""
+"""Empty-schedule `step` edges of the event scheduler.
+
+The module keeps the name it had under the former calendar-wheel
+scheduler so that these test ids stay stable; the kernel now has one
+binary-heap scheduler, and "wheel" here means the event schedule."""
 
 import pytest
 
 from repro.sim import SimulationError, Simulator
-from repro.sim.kernel import _WHEEL_SHIFT, _WHEEL_SLOTS
 
-#: first instant past the initial calendar window
-WINDOW_NS = _WHEEL_SLOTS << _WHEEL_SHIFT
-
-
-# ------------------------------------------------------------ construction
-def test_unknown_scheduler_name_rejected():
-    with pytest.raises(SimulationError, match="REPRO_SCHED"):
-        Simulator(sched="fifo")
+#: a delay far beyond any short-horizon bucket of the schedule
+FAR_NS = 1 << 40
 
 
-def test_sched_kwarg_overrides_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_SCHED", "heap")
-    assert Simulator(sched="wheel").sched == "wheel"
-    monkeypatch.delenv("REPRO_SCHED")
-    assert Simulator().sched == "wheel"
-
-
-# ------------------------------------------------------- overflow cascade
-def test_far_future_event_lands_in_overflow_not_calendar():
-    sim = Simulator(sched="wheel")
-    sim.timeout(WINDOW_NS + 5)
-    assert len(sim._overflow) == 1
-    assert not sim._slot_heap and not sim._buckets
-
-
-def test_overflow_cascade_fires_at_exact_time():
-    sim = Simulator(sched="wheel")
-    fired = []
-    t = sim.timeout(WINDOW_NS * 3 + 17)
-    t.callbacks.append(lambda ev: fired.append(sim.now))
-    sim.run()
-    assert fired == [WINDOW_NS * 3 + 17]
-    assert not sim._overflow
-    # the window was re-anchored past the cascaded event's slot
-    assert sim._wheel_limit > _WHEEL_SLOTS
-
-
-def test_cascade_preserves_order_across_windows():
-    """Events spread over several calendar windows fire in time order,
-    and near events are not delayed by far ones."""
-    sim = Simulator(sched="wheel")
-    fired = []
-    times = [3, WINDOW_NS - 1, WINDOW_NS + 1, WINDOW_NS * 2 + 9,
-             WINDOW_NS * 10, 40, WINDOW_NS * 10 + 1]
-    for when in times:
-        t = sim.timeout(when)
-        t.callbacks.append(lambda ev, w=when: fired.append((sim.now, w)))
-    sim.run()
-    assert fired == [(w, w) for w in sorted(times)]
-
-
-def test_cascade_same_slot_events_keep_insertion_order():
-    """Two overflow events in the same far slot cascade together and
-    dispatch FIFO (seq order)."""
-    sim = Simulator(sched="wheel")
-    fired = []
-    when = WINDOW_NS * 2
-    for tag in ("first", "second"):
-        t = sim.timeout(when)
-        t.callbacks.append(lambda ev, tag=tag: fired.append(tag))
-    sim.run()
-    assert fired == ["first", "second"]
-
-
-# ------------------------------------------------------- active-slot path
-def test_insert_into_slot_being_drained_stays_ordered():
-    """A callback scheduling into the currently draining slot must not
-    lose the event or reorder it before already-due ones."""
-    sim = Simulator(sched="wheel")
-    fired = []
-    slot_base = 10 << _WHEEL_SHIFT
-
-    def first(ev):
-        fired.append("first")
-        # same calendar slot, one tick later than an already-queued event
-        later = sim.timeout((slot_base + 3) - sim.now)
-        later.callbacks.append(lambda e: fired.append("injected"))
-
-    t1 = sim.timeout(slot_base + 1)
-    t1.callbacks.append(first)
-    t2 = sim.timeout(slot_base + 2)
-    t2.callbacks.append(lambda ev: fired.append("second"))
-    sim.run()
-    assert fired == ["first", "second", "injected"]
-
-
-# -------------------------------------------------- cancelled-event skips
-def test_cancelled_event_skipped_without_dispatch():
-    sim = Simulator(sched="wheel")
-    fired = []
-    doomed = sim.event(name="doomed")
-    doomed.succeed("never", delay=5)
-    live = sim.event(name="live")
-    live.succeed("yes", delay=5)
-    live.callbacks.append(lambda ev: fired.append(ev.value))
-    doomed.callbacks.append(lambda ev: fired.append("BUG"))
-    doomed.cancel()
-    processed_before = sim.events_processed
-    sim.run()
-    assert fired == ["yes"]
-    # the defunct event was discarded, never counted as dispatched
-    assert sim.events_processed == processed_before + 1
-
-
-def test_cancelled_overflow_event_skipped_after_cascade():
-    sim = Simulator(sched="wheel")
-    doomed = sim.event(name="far-doomed")
-    doomed.succeed(delay=WINDOW_NS + 50)
-    anchor = sim.timeout(WINDOW_NS + 60)
-    doomed.cancel()
-    sim.run()
-    assert sim.now == WINDOW_NS + 60
-    assert anchor.processed and not doomed.processed
-
-
-# ----------------------------------------------------------- empty wheel
 def test_step_on_empty_wheel_raises_simulation_error():
-    sim = Simulator(sched="wheel")
+    sim = Simulator()
     with pytest.raises(SimulationError, match="no events are scheduled"):
         sim.step()
 
 
 def test_step_after_wheel_drained_raises_simulation_error():
-    sim = Simulator(sched="wheel")
-    sim.timeout(WINDOW_NS + 1)  # forces a cascade before the only event
+    sim = Simulator()
+    sim.timeout(FAR_NS + 1)  # the only event lies far in the future
     sim.step()
+    assert sim.now == FAR_NS + 1
     with pytest.raises(SimulationError, match="no events are scheduled"):
         sim.step()
-
-
-# ------------------------------------------------------------------ peek
-def test_peek_reports_earliest_across_all_wheel_structures():
-    sim = Simulator(sched="wheel")
-    assert sim.peek() is None
-    sim.timeout(WINDOW_NS + 7)            # overflow only
-    assert sim.peek() == WINDOW_NS + 7
-    sim.timeout(12)                       # calendar bucket wins
-    assert sim.peek() == 12
-    sim.timeout(0)                        # now-bucket wins
-    assert sim.peek() == 0
-
-
-# --------------------------------------------- heap/wheel order agreement
-def _mixed_workload(sim):
-    """A deterministic burst of same-tick timeouts, zero-delay events,
-    and callback-spawned work; returns the dispatch tags in order."""
-    fired = []
-
-    def note(tag):
-        return lambda ev: fired.append((sim.now, tag))
-
-    for i in range(40):
-        # many collisions: delays repeat so events share ticks and slots
-        t = sim.timeout((i * 7) % 11)
-        t.callbacks.append(note(f"t{i}"))
-    for i in range(10):
-        ev = sim.event()
-        ev.succeed(delay=0)
-        ev.callbacks.append(note(f"z{i}"))
-
-    def proc():
-        for i in range(5):
-            yield sim.timeout(3)
-            fired.append((sim.now, f"p{i}"))
-            chained = sim.timeout((i * 5) % 11)
-            chained.callbacks.append(note(f"c{i}"))
-
-    sim.process(proc(), name="mixer")
-    sim.run()
-    return fired
-
-
-def test_same_tick_fifo_matches_heap_seq_order():
-    """The wheel must reproduce the heap's (time, seq) dispatch order
-    exactly — including FIFO among same-tick events — because the whole
-    repo's byte-identity guarantee rests on it."""
-    heap_order = _mixed_workload(Simulator(sched="heap"))
-    wheel_order = _mixed_workload(Simulator(sched="wheel"))
-    assert wheel_order == heap_order
