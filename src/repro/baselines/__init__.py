@@ -1,9 +1,7 @@
-"""Comparison schemes: native, VFIO, SPDK vhost, and rig builders."""
+"""Comparison schemes: native, VFIO, SPDK vhost and MDev-NVMe, Table I, rig builders."""
 
-from .features import FEATURE_COLUMNS, SCHEMES, SchemeProperties, feature_matrix
-from .mdev import MDevConfig, MDevNVMeTarget, MDevVirtualDisk
+from .features import FEATURE_COLUMNS, feature_matrix
 from .registry import SCHEME_DEFS, SchemeDef, runnable_schemes, scheme_def, table1_schemes
-from .native import NATIVE_SCHEME
 from .rigs import (
     BMStoreRig,
     NativeRig,
@@ -14,23 +12,17 @@ from .rigs import (
     build_spdk,
     build_vfio,
 )
-from .spdk_vhost import SPDKConfig, SPDKVhostTarget, VhostBlockDevice
+from .spdk_vhost import MDEV_CONFIG, SPDKConfig, SPDKVhostTarget, VhostBlockDevice
 from .vfio import VFIOAssignment
 
 __all__ = [
     "FEATURE_COLUMNS",
-    "SCHEMES",
-    "SchemeProperties",
     "feature_matrix",
     "SCHEME_DEFS",
     "SchemeDef",
     "runnable_schemes",
     "scheme_def",
     "table1_schemes",
-    "MDevConfig",
-    "MDevNVMeTarget",
-    "MDevVirtualDisk",
-    "NATIVE_SCHEME",
     "BMStoreRig",
     "NativeRig",
     "SPDKRig",
@@ -39,6 +31,7 @@ __all__ = [
     "build_native",
     "build_spdk",
     "build_vfio",
+    "MDEV_CONFIG",
     "SPDKConfig",
     "SPDKVhostTarget",
     "VhostBlockDevice",

@@ -1,20 +1,17 @@
 """Feature matrix of local-storage schemes — paper Table I.
 
-Each scheme is described by the capabilities the paper compares:
-host efficiency, compatibility, transparency, performance,
-deployability, manageability — derived from structural properties
-(does it need host cores? custom drivers? special devices?) rather
-than hand-entered booleans, so the table is a *consequence* of the
-scheme models.  The structural inputs themselves now live in the
-declarative scheme registry (:mod:`repro.baselines.registry`); this
-module keeps the derivation and the classic ``SCHEMES`` export.
+Each column is a property of :class:`~repro.baselines.registry.SchemeDef`
+derived from the scheme's structural inputs (host cores, driver and
+device requirements, reported throughput, architecture, management
+path) rather than a hand-entered boolean, so the table is a
+*consequence* of the scheme registry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .registry import table1_schemes
 
-__all__ = ["SchemeProperties", "FEATURE_COLUMNS", "SCHEMES", "feature_matrix"]
+__all__ = ["FEATURE_COLUMNS", "feature_matrix"]
 
 FEATURE_COLUMNS = (
     "host_efficiency",
@@ -26,77 +23,9 @@ FEATURE_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class SchemeProperties:
-    """Structural properties of one virtualization scheme."""
-
-    name: str
-    dedicated_host_cores: int  # polling/emulation cores required
-    requires_custom_driver: bool  # host/guest driver or QEMU changes
-    requires_special_device: bool  # e.g. SR-IOV-capable SSDs only
-    single_disk_throughput: float  # fraction of native (paper-reported)
-    architecture: str  # "software" | "p2p" | "direct-attached" | "device"
-    out_of_band_management: bool
-
-    # -- derived Table I columns -------------------------------------------
-    @property
-    def host_efficiency(self) -> bool:
-        return self.dedicated_host_cores == 0
-
-    @property
-    def compatibility(self) -> bool:
-        """Works with commodity NVMe drives from any vendor."""
-        return not self.requires_special_device
-
-    @property
-    def transparency(self) -> bool:
-        """No software installed in the tenant's host OS."""
-        return not self.requires_custom_driver
-
-    @property
-    def performance(self) -> bool:
-        """Near-native single-disk throughput (>= 80%)."""
-        return self.single_disk_throughput >= 0.80
-
-    @property
-    def deployability(self) -> bool:
-        """Deployable at scale on bare-metal instances.
-
-        Software schemes deploy trivially where the vendor controls the
-        host; P2P hardware schemes need host-side drivers, which
-        bare-metal tenants will not install.
-        """
-        return self.architecture != "p2p"
-
-    @property
-    def manageability(self) -> bool:
-        return self.out_of_band_management
-
-    def row(self) -> dict[str, bool]:
-        return {col: getattr(self, col) for col in FEATURE_COLUMNS}
-
-
-def _from_registry() -> dict[str, SchemeProperties]:
-    """Derive the Table I rows from the declarative scheme registry."""
-    from .registry import table1_schemes
-
+def feature_matrix() -> dict[str, dict[str, bool]]:
+    """Table I: scheme -> {feature: supported}, in the paper's row order."""
     return {
-        title: SchemeProperties(
-            name=title,
-            dedicated_host_cores=d.dedicated_host_cores,
-            requires_custom_driver=d.requires_custom_driver,
-            requires_special_device=d.requires_special_device,
-            single_disk_throughput=d.single_disk_throughput,
-            architecture=d.architecture,
-            out_of_band_management=d.out_of_band_management,
-        )
+        title: {col: getattr(d, col) for col in FEATURE_COLUMNS}
         for title, d in table1_schemes().items()
     }
-
-
-SCHEMES: dict[str, SchemeProperties] = _from_registry()
-
-
-def feature_matrix() -> dict[str, dict[str, bool]]:
-    """Table I: scheme -> {feature: supported}."""
-    return {name: scheme.row() for name, scheme in SCHEMES.items()}

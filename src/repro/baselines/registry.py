@@ -12,10 +12,11 @@ its capabilities structurally:
 * and the structural Table-I properties (host cores, driver and device
   requirements, reported throughput, architecture, management path).
 
-Downstream tables are *consequences* of this registry:
-:mod:`repro.baselines.features` derives the paper's Table I from the
-``table1`` entries, and :mod:`repro.experiments.common` asserts its
-runner map covers exactly the ``runnable`` entries.
+Downstream tables are *consequences* of this registry: the six Table I
+columns are properties derived from those structural inputs,
+:mod:`repro.baselines.features` reads them off the ``table1`` entries,
+and :mod:`repro.experiments.common` asserts its runner map covers
+exactly the ``runnable`` entries.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class SchemeDef:
     #: runtime invariant checkers with coverage on this scheme's path
     check_seams: tuple = ()
 
-    # -- structural Table-I inputs (paper-reported; see features.py) ------
+    # -- structural Table-I inputs (paper-reported) -----------------------
     dedicated_host_cores: int = 0
     requires_custom_driver: bool = False
     requires_special_device: bool = False
@@ -81,6 +82,40 @@ class SchemeDef:
     @property
     def table1(self) -> bool:
         return self.title is not None
+
+    # -- derived Table-I columns ------------------------------------------
+    @property
+    def host_efficiency(self) -> bool:
+        return self.dedicated_host_cores == 0
+
+    @property
+    def compatibility(self) -> bool:
+        """Works with commodity NVMe drives from any vendor."""
+        return not self.requires_special_device
+
+    @property
+    def transparency(self) -> bool:
+        """No software installed in the tenant's host OS."""
+        return not self.requires_custom_driver
+
+    @property
+    def performance(self) -> bool:
+        """Near-native single-disk throughput (>= 80%)."""
+        return self.single_disk_throughput >= 0.80
+
+    @property
+    def deployability(self) -> bool:
+        """Deployable at scale on bare-metal instances.
+
+        Software schemes deploy trivially where the vendor controls the
+        host; P2P hardware schemes need host-side drivers, which
+        bare-metal tenants will not install.
+        """
+        return self.architecture != "p2p"
+
+    @property
+    def manageability(self) -> bool:
+        return self.out_of_band_management
 
 
 _DRIVER_CHECKS = ("ring", "prp", "kernel")
@@ -133,7 +168,8 @@ SCHEME_DEFS: tuple[SchemeDef, ...] = (
         requires_special_device=False, single_disk_throughput=0.90,
         architecture="software", out_of_band_management=False,
     ),
-    # ---- paper-only schemes (Table I rows without a runner) ------------
+    # ---- paper-only schemes (Table I rows without a runner; MDev-NVMe
+    # runs as the vhost target's MDEV_CONFIG preset) ---------------------
     SchemeDef(
         key=None, title="MDev-NVMe", interposition="software",
         dedicated_host_cores=1, requires_custom_driver=True,

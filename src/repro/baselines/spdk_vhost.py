@@ -1,15 +1,24 @@
-"""SPDK vhost baseline: software storage virtualization on polling cores.
+"""Software storage mediation on dedicated polling cores.
 
-The comparison target of the paper's Figs. 1, 9, 13, 14: a user-space
-vhost target that dedicates host CPU cores to poll virtio rings and
-NVMe completion queues.  Per-request CPU work (descriptor handling +
-data handling per byte) bounds throughput per core; dedicated cores are
-subtracted from what the host can sell (the TCO argument).
+One model serves both software baselines the paper compares against:
+a host process dedicates CPU cores to poll guest request rings onto a
+device SQ/CQ, and pays a CPU cost per request inline.
 
-Calibration (DESIGN.md §5): one core ≈ 262 K 4K IOPS and ≈ 2.0 GB/s of
-128K processing — reproducing the single-VM ratios of Fig. 9 — while a
-cross-core contention factor reproduces the "8 cores for 80% of four
-SSDs" shape of Fig. 1.
+* SPDK vhost (the default :class:`SPDKConfig`), the comparison target
+  of Figs. 1, 9, 13, 14: a user-space vhost target polling virtio
+  rings.  Per-request CPU work (descriptor handling + data handling per
+  byte) bounds throughput per core; dedicated cores are subtracted from
+  what the host can sell (the TCO argument).  Calibration (DESIGN.md
+  §5): one core ≈ 262 K 4K IOPS and ≈ 2.0 GB/s of 128K processing —
+  reproducing the single-VM ratios of Fig. 9 — while a cross-core
+  contention factor reproduces the "8 cores for 80% of four SSDs" shape
+  of Fig. 1.
+* MDev-NVMe (:data:`MDEV_CONFIG`), the Table I row ([32], USENIX
+  ATC'18): a host kernel module mediating a physical drive into per-VM
+  virtual controllers.  One polling core maps guest queues onto shadow
+  queues with an LBA translation per command; there is no virtio
+  descriptor layer and no segment processing, so mediation is cheap and
+  performance stays close to native, MDev-NVMe's published result.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from ..nvme.spec import IOOpcode, LBA_BYTES, StatusCode
 from ..nvme.ssd import NVMeSSD
 from ..sim import Event, Resource, SimulationError, Simulator
 
-__all__ = ["SPDKConfig", "VhostBlockDevice", "SPDKVhostTarget"]
+__all__ = ["SPDKConfig", "MDEV_CONFIG", "VhostBlockDevice", "SPDKVhostTarget"]
 
 VHOST_QID = 7  # the SPDK user-space driver's own I/O queue id
 
@@ -56,6 +65,22 @@ class SPDKConfig:
     guest_irq_ns: int = 2500  # interrupt injection into the guest
 
 
+#: MDev-NVMe's mediation costs: a shadow-queue copy + LBA translation per
+#: command, no per-segment work, no guest virtqueue lock, and ring visits
+#: as deep as the ring itself (the module's loops are unbounded)
+MDEV_CONFIG = SPDKConfig(
+    per_op_ns=900,
+    per_segment_ns=0,
+    completion_ns=500,
+    poll_interval_ns=500,
+    batch=1024,
+    guest_submit_ns=700,
+    guest_vq_lock_ns=0,
+    guest_vq_lock_contended_ns=0,
+    guest_irq_ns=2500,
+)
+
+
 @dataclass
 class _VirtioRequest:
     opcode: int
@@ -69,7 +94,8 @@ class _VirtioRequest:
 
 
 class VhostBlockDevice:
-    """The virtio-blk disk a VM sees; backed by a slice of one SSD."""
+    """The disk a VM sees (virtio-blk under vhost, a mediated NVMe device
+    under MDev-NVMe); backed by a slice of one SSD."""
 
     def __init__(
         self,
@@ -177,6 +203,8 @@ class SPDKVhostTarget:
     def create_vdev(
         self, name: str, ssd_index: int, lba_base: int, num_blocks: int
     ) -> VhostBlockDevice:
+        if lba_base + num_blocks > self.ssds[ssd_index].namespaces[1].num_blocks:
+            raise SimulationError(f"{name}: slice beyond the physical drive")
         vdev = VhostBlockDevice(self, name, ssd_index, lba_base, num_blocks)
         self.vdevs.append(vdev)
         return vdev

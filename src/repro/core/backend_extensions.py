@@ -23,6 +23,7 @@ from ..remote.network import NetworkLink
 from ..remote.target import RemoteStorageTarget
 from ..sata.disk import SATADisk
 from ..sim import Event, SimulationError
+from .host_adaptor import ForwardRequest
 
 if TYPE_CHECKING:  # pragma: no cover
     from .host_adaptor import HostAdaptor
@@ -31,14 +32,6 @@ __all__ = ["ExtendedBackendSlot", "SATABackendSlot", "RemoteBackendSlot"]
 
 SQE_WIRE_BYTES = 64
 RESPONSE_WIRE_BYTES = 16
-
-
-class _ForwardRequest:
-    __slots__ = ("sqe", "on_complete")
-
-    def __init__(self, sqe: SQE, on_complete: Callable[[int], None]):
-        self.sqe = sqe
-        self.on_complete = on_complete
 
 
 class ExtendedBackendSlot:
@@ -55,23 +48,23 @@ class ExtendedBackendSlot:
         self.name = name
         self.ssd = None  # no NVMe drive behind this slot
         self.paused = False
-        self.pause_buffer: list[_ForwardRequest] = []
+        self.pause_buffer: list[ForwardRequest] = []
         self.inflight = 0
         self._drain_event: Optional[Event] = None
         self.forwarded = 0
         self.completed = 0
-        self.pending: dict[int, _ForwardRequest] = {}
+        self.pending: dict[int, ForwardRequest] = {}
         self._next_tag = 0
 
     # ------------------------------------------------------------ forwarding
     def forward(self, sqe: SQE, on_complete: Callable[[int], None]) -> None:
-        req = _ForwardRequest(sqe, on_complete)
+        req = ForwardRequest(sqe, on_complete)
         if self.paused:
             self.pause_buffer.append(req)
         else:
             self.sim.spawn(self._run(req), name=f"{self.name}.fwd")
 
-    def _run(self, req: _ForwardRequest):
+    def _run(self, req: ForwardRequest):
         if self.paused:
             self.pause_buffer.append(req)
             return

@@ -13,7 +13,6 @@ in a pending buffer (the *I/O context*), and nothing reaches the SSD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..nvme.command import SQE, free_cqe, free_sqe
@@ -28,10 +27,15 @@ BACKEND_QUEUE_DEPTH = 1024
 BACKEND_QID = 1
 
 
-@dataclass
-class _PendingForward:
-    sqe: SQE
-    on_complete: Callable[[int], None]  # called with the CQE status
+class ForwardRequest:
+    """One command forwarded to a back-end slot: buffered while the slot
+    is paused, then filed in ``pending`` until its completion."""
+
+    __slots__ = ("sqe", "on_complete")
+
+    def __init__(self, sqe: SQE, on_complete: Callable[[int], None]):
+        self.sqe = sqe
+        self.on_complete = on_complete  # called with the CQE status
 
 
 class BackendSlot:
@@ -43,11 +47,11 @@ class BackendSlot:
         self.ssd: Optional[NVMeSSD] = ssd
         self.sim = adaptor.sim
         self.paused = False
-        self.pause_buffer: list[_PendingForwardRequest] = []
+        self.pause_buffer: list[ForwardRequest] = []
         self.inflight = 0
         self._drain_event: Optional[Event] = None
         self._next_cid = 0
-        self.pending: dict[int, _PendingForward] = {}
+        self.pending: dict[int, ForwardRequest] = {}
         self.slots = Resource(self.sim, BACKEND_QUEUE_DEPTH - 1, name=f"bslot{index}")
         self.forwarded = 0
         self.completed = 0
@@ -189,13 +193,13 @@ class BackendSlot:
     # ------------------------------------------------------------ forwarding
     def forward(self, sqe: SQE, on_complete: Callable[[int], None]) -> None:
         """Queue a remapped command toward this SSD (engine step ③)."""
-        req = _PendingForwardRequest(sqe, on_complete)
+        req = ForwardRequest(sqe, on_complete)
         if self.paused:
             self.pause_buffer.append(req)
         else:
             self.sim.spawn(self._forward_now(req), name="slot.fwd")
 
-    def _forward_now(self, req: "_PendingForwardRequest"):
+    def _forward_now(self, req: ForwardRequest):
         if self.paused:
             self.pause_buffer.append(req)
             return
@@ -211,7 +215,7 @@ class BackendSlot:
         cid = self._next_cid
         sqe = req.sqe
         sqe.cid = cid
-        self.pending[cid] = _PendingForward(sqe, req.on_complete)
+        self.pending[cid] = req
         self.inflight += 1
         self.forwarded += 1
         self.sq.push(sqe)
@@ -248,12 +252,6 @@ class BackendSlot:
             # remapped SQE and its CQE can rejoin the free lists
             free_sqe(ctx.sqe)
             free_cqe(cqe)
-
-
-@dataclass
-class _PendingForwardRequest:
-    sqe: SQE
-    on_complete: Callable[[int], None]
 
 
 class HostAdaptor:

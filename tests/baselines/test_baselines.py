@@ -3,12 +3,12 @@
 import pytest
 
 from repro.baselines import (
-    SCHEMES,
     SPDKConfig,
     build_native,
     build_spdk,
     build_vfio,
     feature_matrix,
+    table1_schemes,
 )
 from repro.sim import SimulationError
 from repro.sim.units import GIB, MS
@@ -32,10 +32,10 @@ def test_feature_matrix_matches_paper_table1():
 
 
 def test_feature_flags_are_derived_from_structure():
-    bm = SCHEMES["BM-Store"]
+    bm = table1_schemes()["BM-Store"]
     assert bm.host_efficiency == (bm.dedicated_host_cores == 0)
     assert bm.transparency == (not bm.requires_custom_driver)
-    leapio = SCHEMES["LeapIO"]
+    leapio = table1_schemes()["LeapIO"]
     assert not leapio.performance  # 68% < 80% threshold
 
 

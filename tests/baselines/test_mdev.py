@@ -1,18 +1,19 @@
-"""MDev-NVMe mediated-passthrough baseline tests."""
+"""MDev-NVMe mediated-passthrough baseline tests (the vhost target's
+MDEV_CONFIG preset)."""
 
 import pytest
 
-from repro.baselines import MDevNVMeTarget, build_native
+from repro.baselines import MDEV_CONFIG, SPDKConfig, SPDKVhostTarget, build_native
 from repro.sim import SimulationError
 from repro.sim.units import GIB, MS
 from repro.workloads import FioSpec, run_fio
 
 
-def mdev_world(slices=1):
+def mdev_world(slices=1, config=MDEV_CONFIG):
     rig = build_native(1)
-    target = MDevNVMeTarget(rig.host, rig.ssds[0])
+    target = SPDKVhostTarget(rig.host, [rig.ssds[0]], config=config, name="mdev")
     vdisks = [
-        target.create_vdisk(f"vd{i}", i * (256 * GIB // 4096), 256 * GIB // 4096)
+        target.create_vdev(f"vd{i}", 0, i * (256 * GIB // 4096), 256 * GIB // 4096)
         for i in range(slices)
     ]
     target.start()
@@ -52,10 +53,12 @@ def test_mdev_data_integrity_with_lba_translation():
     assert rig.ssds[0].block_data(256 * GIB // 4096) == b"B" * 4096
 
 
-def test_mdev_slice_bounds_checked():
-    rig, target, _ = mdev_world()
+@pytest.mark.parametrize("config", [SPDKConfig(), MDEV_CONFIG],
+                         ids=["spdk-default", "mdev"])
+def test_mdev_slice_bounds_checked(config):
+    rig, target, _ = mdev_world(config=config)
     with pytest.raises(SimulationError, match="beyond"):
-        target.create_vdisk("huge", 0, rig.ssds[0].namespaces[1].num_blocks + 1)
+        target.create_vdev("huge", 0, 0, rig.ssds[0].namespaces[1].num_blocks + 1)
 
 
 def test_mdev_low_depth_latency_close_to_native():

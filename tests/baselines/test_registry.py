@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.features import SCHEMES as TABLE1_ROWS
+from repro.baselines.features import feature_matrix
 from repro.baselines.registry import (
     INTERPOSITION_LEVELS,
     SCHEME_DEFS,
@@ -25,15 +25,7 @@ def test_every_def_is_runnable_or_a_table1_row():
 
 
 def test_table1_rows_derive_from_the_registry():
-    assert list(TABLE1_ROWS) == [d.title for d in table1_schemes().values()]
-    for row, d in zip(TABLE1_ROWS.values(), table1_schemes().values()):
-        assert row.name == d.title
-        assert row.dedicated_host_cores == d.dedicated_host_cores
-        assert row.requires_custom_driver == d.requires_custom_driver
-        assert row.requires_special_device == d.requires_special_device
-        assert row.single_disk_throughput == d.single_disk_throughput
-        assert row.architecture == d.architecture
-        assert row.out_of_band_management == d.out_of_band_management
+    assert list(feature_matrix()) == list(table1_schemes())
 
 
 def test_passthrough_capabilities():

@@ -13,7 +13,10 @@ would only have poked a settled condition leaves the digest unchanged.
 
 The pinned digests were computed with the kernel that still scheduled
 every process completion, MSI-X delivery and store put; any reordering
-of an observable callback, or a lost or added one, changes them.
+of an observable callback, or a lost or added one, changes them.  The
+``rr128-spdk-vm`` digest was computed before the MDev-NVMe model was
+folded into the vhost target as a cost preset, so it pins the SPDK
+dispatch order across that fold.
 """
 
 import hashlib
@@ -106,6 +109,8 @@ SCENARIOS = {
         "bmstore", _short("seq-w-256", 12, 4), seed=7),
     "minikv-pushdown": lambda: run_cell(
         PushdownCell(name="fp", seed=7, hot_remove=True)),
+    "rr128-spdk-vm": lambda: run_case(
+        "spdk-vm", _short("rand-r-128", 3, 1), seed=7),
 }
 
 PINNED = {
@@ -121,6 +126,8 @@ PINNED = {
         "4f53d2fb405a5cc6b8c8b45d01621bd70acef2e291d7d348a87ca99c02d83073",
     "minikv-pushdown":
         "dab54f4eaf2eaaafaeb70308310a1f1ef566a57827fc205b813f69039b96b748",
+    "rr128-spdk-vm":
+        "fad64d76c41981c08242fa0498fbe12ab41c024338d72bd5b711971d56e86903",
 }
 
 
