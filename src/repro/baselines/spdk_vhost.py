@@ -31,7 +31,7 @@ from ..host.cpu import Core
 from ..host.environment import Host
 from ..host.memory import BufferPool
 from ..nvme.command import SQE
-from ..nvme.prp import build_prps
+from ..nvme.prp import build_prps, pages_for, release_prps
 from ..nvme.queues import CompletionQueue, SubmissionQueue
 from ..nvme.spec import IOOpcode, LBA_BYTES, StatusCode
 from ..nvme.ssd import NVMeSSD
@@ -284,7 +284,7 @@ class SPDKVhostTarget:
             buf = self._pool.get(length)
             if req.payload is not None:
                 self.host.memory.mem_write(buf, length, req.payload)
-            prp1, prp2 = build_prps(self.host.memory, buf, length)
+            prp1, prp2 = build_prps(self._pool, pages_for(buf, length))
         self._next_cid = (self._next_cid + 1) % 0xFFFF
         cid = self._next_cid
         sqe = SQE(
@@ -294,7 +294,7 @@ class SPDKVhostTarget:
             submit_time_ns=req.start_ns,
         )
         qp.sq.push(sqe)
-        self._pending[(req.vdev.ssd_index, cid)] = _InflightIO(req, buf, length)
+        self._pending[(req.vdev.ssd_index, cid)] = _InflightIO(req, buf, length, prp2)
         self.host.fabric.cpu_write(qp.sq_doorbell, 4)
 
     def _complete(self, ssd_index: int, cqe) -> None:
@@ -312,6 +312,7 @@ class SPDKVhostTarget:
                 data = self.host.memory.mem_read(entry.buf, entry.length)
             if entry.buf:
                 self._pool.put(entry.buf, entry.length)
+                release_prps(self._pool, entry.buf, entry.prp2, entry.length)
             latency = self.sim.now - req.start_ns
             req.done.succeed(CompletionInfo(ok, cqe.status, data, latency))
 
@@ -334,3 +335,4 @@ class _InflightIO:
     request: _VirtioRequest
     buf: int
     length: int
+    prp2: int

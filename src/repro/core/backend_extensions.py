@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Optional
 
 from ..nvme.command import SQE
-from ..nvme.prp import PRPList, pages_for
+from ..nvme.prp import page_spans, prp_list_bytes, walk_prps
 from ..nvme.spec import IOOpcode, LBA_BYTES, StatusCode
 from ..remote.network import NetworkLink
 from ..remote.target import RemoteStorageTarget
@@ -128,16 +128,13 @@ class ExtendedBackendSlot:
 
     # ------------------------------------------------------------ data moves
     def _resolve_pages(self, sqe: SQE, length: int) -> list[int]:
-        """Global-PRP pages of the command (list lives in chip memory)."""
-        npages = len(pages_for(sqe.prp1, length))
-        if npages <= 1:
-            return [sqe.prp1]
-        if npages == 2:
-            return [sqe.prp1, sqe.prp2]
-        entry = self.adaptor.chip_memory.load_obj(sqe.prp2)
-        if not isinstance(entry, PRPList):
-            raise SimulationError(f"{self.name}: bad chip PRP list")
-        return [sqe.prp1, *entry.entries[: npages - 1]]
+        """Global-PRP pages of the command (the list lives in the
+        engine's PRP pool: chip memory, or the CXL tier once spilled)."""
+        prp_list = None
+        if prp_list_bytes(sqe.prp1, length):
+            pool = self.adaptor.engine._prp_pool
+            prp_list = pool.memory_for(sqe.prp2).load_obj(sqe.prp2)
+        return walk_prps(sqe.prp1, sqe.prp2, length, prp_list)
 
     def _dma_to_host(self, sqe: SQE, length: int, payload: Optional[bytes]):
         """Device data -> host memory through the engine's DMA router."""
@@ -146,13 +143,8 @@ class ExtendedBackendSlot:
         if payload is None:
             yield engine.route_dma_write_event(pages[0], length, None)
             return
-        offset = 0
-        for page in pages:
-            chunk = min(4096 - page % 4096, length - offset)
+        for page, offset, chunk in page_spans(pages, length):
             yield engine.route_dma_write_event(page, chunk, payload[offset : offset + chunk])
-            offset += chunk
-            if offset >= length:
-                break
 
     def _dma_from_host(self, sqe: SQE, length: int):
         """Host memory -> device through the engine's DMA router."""

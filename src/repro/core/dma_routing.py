@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..host.policy import DMA_MODELS
 from ..sim import SimulationError
 
 __all__ = [
@@ -34,9 +35,6 @@ __all__ = [
     "decode_global_prp",
     "is_global_prp",
 ]
-
-#: engine step-⑤ machinery variants (see :class:`DescriptorRingDMA`)
-DMA_MODELS = ("register", "descriptor")
 
 
 class RouteStats:

@@ -27,7 +27,7 @@ from ..host.environment import Host
 from ..host.memory import BufferPool, HostMemory
 from ..nvme.command import CQE, SQE, alloc_cqe, alloc_sqe
 from ..nvme.namespace import Namespace
-from ..nvme.prp import PRPList, pages_for
+from ..nvme.prp import build_prps, prp_list_bytes, release_prps, walk_prps
 from ..nvme.spec import CQE_BYTES, LBA_BYTES, SQE_BYTES, IOOpcode, StatusCode
 from ..nvme.ssd import NVMeSSD
 from ..obs import IOSpan, MetricsRegistry
@@ -675,14 +675,11 @@ class BMSEngine:
             span.stamp("qos", self.sim.now)
 
         # resolve the host PRP pages (fetch the PRP list if present)
-        npages = len(pages_for(sqe.prp1, length))
-        if npages <= 2:
-            host_pages = [sqe.prp1] if npages == 1 else [sqe.prp1, sqe.prp2]
-        else:
-            entry = yield self.front_port.mem_read(sqe.prp2, (npages - 1) * 8)
-            if not isinstance(entry, PRPList):
-                raise SimulationError(f"{self.name}: bad host PRP list at {sqe.prp2:#x}")
-            host_pages = [sqe.prp1, *entry.entries[: npages - 1]]
+        list_bytes = prp_list_bytes(sqe.prp1, length)
+        prp_list = None
+        if list_bytes:
+            prp_list = yield self.front_port.mem_read(sqe.prp2, list_bytes)
+        host_pages = walk_prps(sqe.prp1, sqe.prp2, length, prp_list)
         if self.checks is not None:
             self.checks.on_prp_chain(
                 host_pages, length, span=span,
@@ -757,13 +754,13 @@ class BMSEngine:
 
         ``pages`` holds one resolved DMA page address per block (global
         PRPs for host commands, pooled chip-buffer pages for pushdown
-        hops).  A fragment of more than two pages gets its PRP list in a
+        hops).  A fragment's PRP list (if it needs one) lives in a
         pooled buffer, freed when the last extent completes; then
         ``on_done(status)`` runs with SUCCESS, or with a failed extent's
         status.
         """
         pool = self._prp_pool
-        lists: list[tuple[int, int]] = []
+        chains: list[tuple[int, int, int]] = []
         fanin = [len(extents), int(StatusCode.SUCCESS)]
 
         def on_complete(status: int) -> None:
@@ -771,26 +768,14 @@ class BMSEngine:
                 fanin[1] = status
             fanin[0] -= 1
             if fanin[0] == 0:
-                for addr, size in lists:
-                    # drop the PRPList object before the buffer recycles:
-                    # page-rounded buckets can hand this address to a
-                    # data read, whose mem_read must see bytes, not a
-                    # stale object
-                    pool.memory_for(addr).pop_obj(addr)
-                    pool.put(addr, size)
+                for prp1, prp2, length in chains:
+                    release_prps(pool, prp1, prp2, length)
                 on_done(fanin[1])
 
         block_off = 0
         for ssd_id, plba, cnt in extents:
-            frag = pages[block_off : block_off + cnt]
-            prp1, prp2 = frag[0], 0
-            if len(frag) == 2:
-                prp2 = frag[1]
-            elif len(frag) > 2:
-                size = (len(frag) - 1) * 8
-                prp2 = pool.get(size)
-                pool.memory_for(prp2).store_obj(prp2, PRPList(prp2, frag[1:]))
-                lists.append((prp2, size))
+            prp1, prp2 = build_prps(pool, pages[block_off : block_off + cnt])
+            chains.append((prp1, prp2, cnt * LBA_BYTES))
             frag_payload = None
             if payload is not None:
                 frag_payload = payload[block_off * LBA_BYTES :][: cnt * LBA_BYTES]

@@ -18,7 +18,7 @@ from typing import Any, Optional, Protocol
 from ..faults.plan import DriverFaultPolicy
 from ..nvme.command import CQE, SQE, alloc_sqe, free_cqe, free_sqe
 from ..nvme.namespace import Namespace
-from ..nvme.prp import build_prps
+from ..nvme.prp import build_prps, pages_for, release_prps
 from ..nvme.queues import CompletionQueue, QueuePair, SubmissionQueue
 from ..nvme.spec import SQE_BYTES, AdminOpcode, IOOpcode, StatusCode
 from ..obs import IOSpan, MetricsRegistry
@@ -74,6 +74,9 @@ class DriverStats:
 
 class NVMeDriver:
     """One bound NVMe controller, exposing the BlockTarget interface."""
+
+    #: admin SQ/CQ depth; a ring holds at most depth - 1 entries
+    ADMIN_DEPTH = 32
 
     def __init__(
         self,
@@ -145,6 +148,10 @@ class NVMeDriver:
         self._slots: dict[int, Resource] = {}
         self._cqe_stores: dict[int, Store] = {}
         self._rr = 0
+        #: admin commands in flight (bounded to ADMIN_DEPTH - 1) and the
+        #: submitters blocked on a full admin ring, woken FIFO
+        self._admin_outstanding = 0
+        self._admin_waiters: list[Event] = []
         self._setup_admin_queue()
         self._setup_io_queues(num_io_queues, queue_depth)
 
@@ -185,7 +192,7 @@ class NVMeDriver:
         return qp
 
     def _setup_admin_queue(self) -> None:
-        self._make_queue_pair(0, 32)
+        self._make_queue_pair(0, self.ADMIN_DEPTH)
 
     def _setup_io_queues(self, count: int, depth: int) -> None:
         for qid in range(1, count + 1):
@@ -256,7 +263,7 @@ class NVMeDriver:
         length = PAGE_SIZE  # one page carries the invocation + result
         buf = self._pool.get(length)
         self.host.memory.store_obj(buf, invocation)
-        prp1, prp2 = build_prps(self.host.memory, buf, length)
+        prp1, prp2 = build_prps(self._pool, pages_for(buf, length))
 
         contended = self._lock.in_use > 0 or self._lock.queued > 0
         yield self._lock.acquire()
@@ -406,8 +413,9 @@ class NVMeDriver:
                 span.note_fault("host_timeout")
                 self.obs.finish_span(span)
             # the SQE cannot be freed — its stale ring entry may still
-            # be fetched — but the ring tracks it and recycles it once
-            # the slot is overwritten or the queue is re-attached
+            # be fetched — but the ring tracks it and retires it once
+            # the slot is overwritten or the queue is re-attached.  Its
+            # PRP list stays allocated for the same reason.
             sqe = ctx.get("sqe")
             if sqe is not None and ctx.get("slot") is not None:
                 self._qps[qid].sq.note_leaked(ctx["slot"], sqe)
@@ -434,7 +442,7 @@ class NVMeDriver:
             buf = self._pool.get(length)
             if payload is not None:
                 self.host.memory.mem_write(buf, length, payload)
-            prp1, prp2 = build_prps(self.host.memory, buf, length)
+            prp1, prp2 = build_prps(self._pool, pages_for(buf, length))
 
         contended = self._lock.in_use > 0 or self._lock.queued > 0
         yield self._lock.acquire()
@@ -532,7 +540,7 @@ class NVMeDriver:
 
     # ------------------------------------------------------------- completion
     def _note_reclaims(self, count: int) -> None:
-        """Ring callback: leaked SQEs just rejoined the free list."""
+        """Ring callback: leaked SQEs were just retired by their ring."""
         self.stats.sqe_reclaims += count
         if self.obs is not None:
             self.obs.counter("sqe_reclaims", driver=self.name).inc(count)
@@ -589,10 +597,18 @@ class NVMeDriver:
                 data = obj
         elif ctx["want_data"] and ctx["length"]:
             data = self.host.memory.mem_read(ctx["buf"], ctx["length"])
+        sqe = ctx["sqe"]
         if ctx["buf"]:
             self._pool.put(ctx["buf"], ctx["length"])
+            release_prps(self._pool, sqe.prp1, sqe.prp2, ctx["length"])
         if qid in self._slots:
             self._slots[qid].release()
+        elif qid == 0:
+            if self._admin_waiters:
+                # hand the admin slot straight to the oldest waiter
+                self._admin_waiters.pop(0).succeed()
+            else:
+                self._admin_outstanding -= 1
         latency = self.sim.now - ctx["start"]
         if self.obs is not None and qid != 0:
             span = ctx.get("span")
@@ -606,7 +622,6 @@ class NVMeDriver:
         # the completed command's SQE is dead: the device fetched it (a
         # CQE exists) and the consumer is past its ring slot, so it can
         # rejoin the free list.  Timed-out commands never get here.
-        sqe = ctx.get("sqe")
         if sqe is not None:
             free_sqe(sqe)
         done = ctx["done"]
@@ -633,6 +648,15 @@ class NVMeDriver:
     def _admin_proc(self, opcode, cdw10, cdw11, prp1, payload, done):
         start = self.sim.now
         yield self.sim.timeout(self.kernel.submit_overhead_ns)
+        # bound the in-flight admin commands so neither admin ring can
+        # overflow (an abort storm after mass timeouts would); below the
+        # bound this is a counter bump and costs no event
+        if self._admin_outstanding >= self.ADMIN_DEPTH - 1:
+            wait = self.sim.pooled_event(name=f"{self.name}.adminq")
+            self._admin_waiters.append(wait)
+            yield wait  # woken holding the slot a completion freed
+        else:
+            self._admin_outstanding += 1
         qp = self._qps[0]
         cid = self._next_cid[0] = (self._next_cid[0] + 1) % 0xFFFF
         sqe = SQE(opcode=int(opcode), cid=cid, nsid=self.nsid,

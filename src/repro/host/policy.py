@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 DOORBELL_MODES = ("immediate", "shadow", "batched")
+#: engine step-⑤ machinery variants (see
+#: :class:`~repro.core.dma_routing.DescriptorRingDMA`)
 DMA_MODELS = ("register", "descriptor")
 
 

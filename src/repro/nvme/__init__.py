@@ -4,7 +4,16 @@ from .command import CQE, SQE
 from .firmware import FirmwareImage, FirmwareSlots
 from .flash import P4510_PROFILE, FlashBackend, FlashProfile
 from .namespace import Namespace
-from .prp import PRP_ENTRY_BYTES, PRPList, build_prps, pages_for, walk_prps
+from .prp import (
+    PRP_ENTRY_BYTES,
+    PRPList,
+    build_prps,
+    page_spans,
+    pages_for,
+    prp_list_bytes,
+    release_prps,
+    walk_prps,
+)
 from .queues import CompletionQueue, QueuePair, SubmissionQueue
 from .spec import (
     CQE_BYTES,
@@ -29,7 +38,10 @@ __all__ = [
     "PRP_ENTRY_BYTES",
     "PRPList",
     "build_prps",
+    "page_spans",
     "pages_for",
+    "prp_list_bytes",
+    "release_prps",
     "walk_prps",
     "CompletionQueue",
     "QueuePair",

@@ -16,9 +16,13 @@ A timed-out command's SQE cannot be freed at abort time (its stale ring
 entry can still be fetched after a hot-plug replay); the driver instead
 parks it in the submission ring's leak ledger
 (:meth:`~repro.nvme.queues.SubmissionQueue.note_leaked`), and the ring
-recycles it at the next provably-safe point — when its slot is
-overwritten by a later push, or when the queue is re-attached/torn down
-and the slot sits outside the live ``[head, tail)`` window.
+retires it (:func:`retire_sqe`) once no fetch can reach it — when its
+slot is overwritten by a later push, or when the queue is
+re-attached/torn down and the slot sits outside the live
+``[head, tail)`` window.  Retired entries are counted dead but never
+recycled: a consumer that fetched the command before it timed out may
+still be executing it, and a recycled entry would rewrite its cid and
+PRPs underneath that execution.
 :func:`pool_stats` exposes the live-entry high-water mark so soak tests
 can pin that the ledger keeps the pool bounded.
 """
@@ -28,10 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .spec import LBA_BYTES, StatusCode
+from .spec import StatusCode
 
-__all__ = ["SQE", "CQE", "alloc_sqe", "free_sqe", "alloc_cqe", "free_cqe",
-           "pool_stats"]
+__all__ = ["SQE", "CQE", "alloc_sqe", "free_sqe", "retire_sqe", "alloc_cqe",
+           "free_cqe", "pool_stats"]
 
 
 @dataclass(slots=True)
@@ -61,17 +65,6 @@ class SQE:
     @property
     def num_blocks(self) -> int:
         return self.nlb + 1
-
-    @property
-    def transfer_bytes(self) -> int:
-        return self.num_blocks * LBA_BYTES
-
-    def remapped(self, slba: int, prp1: int, prp2: int) -> "SQE":
-        """A copy with rewritten LBA/PRPs — what the BMS-Engine forwards."""
-        return SQE(opcode=self.opcode, cid=self.cid, nsid=self.nsid,
-                   slba=slba, nlb=self.nlb, prp1=prp1, prp2=prp2,
-                   payload=self.payload, submit_time_ns=self.submit_time_ns,
-                   cdw10=self.cdw10, cdw11=self.cdw11)
 
 
 @dataclass(slots=True)
@@ -137,9 +130,15 @@ def alloc_sqe(opcode: int, cid: int, nsid: int, slba: int = 0, nlb: int = 0,
                submit_time_ns=submit_time_ns, cdw10=cdw10, cdw11=cdw11)
 
 
-def free_sqe(sqe: SQE) -> None:
+def retire_sqe(sqe: SQE) -> None:
+    """Count a timed-out command's SQE dead without recycling it (the
+    garbage collector takes it once its last consumer lets go)."""
     if _SQE_STATS["outstanding"] > 0:
         _SQE_STATS["outstanding"] -= 1
+
+
+def free_sqe(sqe: SQE) -> None:
+    retire_sqe(sqe)
     if len(_SQE_POOL) < _POOL_CAP:
         sqe.payload = None
         sqe.span = None

@@ -1,26 +1,41 @@
-"""Physical Region Page (PRP) construction and walking.
+"""Physical Region Page (PRP) chains: build, walk and release.
 
 NVMe describes data buffers as PRP entries: 64-bit page addresses.
 ``prp1`` points at the first (possibly unaligned) page; for transfers
 beyond two pages ``prp2`` points at a *PRP list* in memory.  The
 BMS-Engine's zero-copy trick (paper Fig. 4b) rewrites these very
 entries, so they are real integers here.
+
+This module is the one owner of the chain layout.  Producers (the host
+driver, the SPDK target, the engine's forwarder) build lists into a
+:class:`~repro.host.memory.BufferPool` with :func:`build_prps` and hand
+them back with :func:`release_prps`; consumers (the engine, the SSD, the
+SATA/remote slots) size the list fetch with :func:`prp_list_bytes`,
+fetch it themselves (the fetch is what costs simulated time), and
+resolve the chain with :func:`walk_prps`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Iterator
 
 from ..sim import SimulationError
 from ..sim.units import PAGE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..host.memory import HostMemory
+    from ..host.memory import BufferPool
 
-__all__ = ["PRP_ENTRY_BYTES", "PRPList", "build_prps", "walk_prps", "pages_for"]
+__all__ = [
+    "PRP_ENTRY_BYTES",
+    "PRPList",
+    "build_prps",
+    "release_prps",
+    "prp_list_bytes",
+    "walk_prps",
+    "page_spans",
+    "pages_for",
+]
 
 PRP_ENTRY_BYTES = 8
 
@@ -31,10 +46,6 @@ class PRPList:
 
     addr: int
     entries: list[int]
-
-    @property
-    def wire_bytes(self) -> int:
-        return len(self.entries) * PRP_ENTRY_BYTES
 
 
 def pages_for(buffer_addr: int, length: int) -> list[int]:
@@ -52,33 +63,55 @@ def pages_for(buffer_addr: int, length: int) -> list[int]:
     return pages
 
 
-def build_prps(memory: "HostMemory", buffer_addr: int, length: int) -> tuple[int, int]:
-    """Build PRP entries for a buffer; returns (prp1, prp2).
+def _page_count(prp1: int, length: int) -> int:
+    return (prp1 % PAGE_SIZE + length + PAGE_SIZE - 1) // PAGE_SIZE
 
-    For > 2 pages, allocates and stores a PRP list in ``memory`` and
-    returns its address as prp2 (list semantics are flagged by the
-    caller knowing the transfer size, as in the spec).
+
+def prp_list_bytes(prp1: int, length: int) -> int:
+    """Wire size of the PRP list a (prp1, length) transfer needs; 0
+    when ``prp2`` is a direct data pointer (or unused)."""
+    npages = _page_count(prp1, length)
+    return (npages - 1) * PRP_ENTRY_BYTES if npages > 2 else 0
+
+
+def build_prps(pool: "BufferPool", pages: list[int]) -> tuple[int, int]:
+    """Build PRP entries for resolved data pages; returns (prp1, prp2).
+
+    Beyond two pages the list buffer comes from ``pool`` and the
+    :class:`PRPList` is parked at its address (list semantics are
+    flagged by the consumer knowing the transfer size, as in the spec).
+    Hand it back with :func:`release_prps` once the command completes.
     """
-    pages = pages_for(buffer_addr, length)
     if not pages:
         raise SimulationError("zero-length PRP build")
-    prp1 = pages[0]
     if len(pages) == 1:
-        return prp1, 0
+        return pages[0], 0
     if len(pages) == 2:
-        return prp1, pages[1]
-    list_addr = memory.alloc(len(pages[1:]) * PRP_ENTRY_BYTES, align=PRP_ENTRY_BYTES)
-    memory.store_obj(list_addr, PRPList(list_addr, list(pages[1:])))
-    return prp1, list_addr
+        return pages[0], pages[1]
+    entries = pages[1:]
+    addr = pool.get(len(entries) * PRP_ENTRY_BYTES)
+    pool.memory_for(addr).store_obj(addr, PRPList(addr, entries))
+    return pages[0], addr
 
 
-def walk_prps(
-    memory: "HostMemory", prp1: int, prp2: int, length: int
-) -> tuple[list[int], Optional[PRPList]]:
+def release_prps(pool: "BufferPool", prp1: int, prp2: int, length: int) -> None:
+    """Return the list :func:`build_prps` made for this chain, if any.
+
+    The parked object is dropped *before* the buffer recycles:
+    page-rounded buckets can hand this address to a data buffer, whose
+    reads must see bytes, not a stale list.
+    """
+    nbytes = prp_list_bytes(prp1, length)
+    if nbytes:
+        pool.memory_for(prp2).pop_obj(prp2)
+        pool.put(prp2, nbytes)
+
+
+def walk_prps(prp1: int, prp2: int, length: int, prp_list: Any) -> list[int]:
     """Resolve (prp1, prp2, length) into page addresses.
 
-    Returns (page_addrs, prp_list or None).  The caller charges the PRP
-    list fetch over the fabric when a list is present.
+    ``prp_list`` is what the consumer fetched from ``prp2`` when
+    :func:`prp_list_bytes` is non-zero (ignored otherwise).
 
     Per the NVMe spec only ``prp1`` may carry a page offset: ``prp2``
     as a second data pointer and every PRP-list entry must be
@@ -86,24 +119,35 @@ def walk_prps(
     the wrong page (fatal for the Fig. 4b zero-copy rewrite, which
     forwards these entries verbatim).
     """
-    npages = len(pages_for(prp1, length))
+    npages = _page_count(prp1, length)
     if npages <= 1:
-        return [prp1], None
+        return [prp1]
     if npages == 2:
         if prp2 % PAGE_SIZE:
             raise SimulationError(
                 f"prp2 {prp2:#x} is not page-aligned (only prp1 may be offset)"
             )
-        return [prp1, prp2], None
-    entry = memory.load_obj(prp2)
-    if not isinstance(entry, PRPList):
+        return [prp1, prp2]
+    if not isinstance(prp_list, PRPList):
         raise SimulationError(f"prp2 {prp2:#x} does not point at a PRP list")
-    if len(entry.entries) < npages - 1:
+    if len(prp_list.entries) < npages - 1:
         raise SimulationError("PRP list shorter than the transfer")
-    used = entry.entries[: npages - 1]
+    used = prp_list.entries[: npages - 1]
     for item in used:
         if item % PAGE_SIZE:
             raise SimulationError(
                 f"PRP list entry {item:#x} is not page-aligned"
             )
-    return [prp1, *used], entry
+    return [prp1, *used]
+
+
+def page_spans(pages: list[int], length: int) -> Iterator[tuple[int, int, int]]:
+    """``(addr, offset, nbytes)`` for each page a transfer touches:
+    ``offset`` is the span's position within the transfer's bytes."""
+    offset = 0
+    for addr in pages:
+        if offset >= length:
+            return
+        nbytes = min(PAGE_SIZE - addr % PAGE_SIZE, length - offset)
+        yield addr, offset, nbytes
+        offset += nbytes

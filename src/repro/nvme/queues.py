@@ -19,7 +19,7 @@ from ..sim import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..host.memory import HostMemory
-from .command import CQE, SQE, free_sqe
+from .command import CQE, SQE, retire_sqe
 from .spec import CQE_BYTES, SQE_BYTES
 
 __all__ = ["SubmissionQueue", "CompletionQueue", "QueuePair", "CQECoalescer"]
@@ -50,9 +50,9 @@ class SubmissionQueue:
         self._space_waiters: list = []
         self._space_name = f"sq{sqid}.space"
         # SQEs stranded in the ring by timed-out commands (slot index ->
-        # entry).  The producer records them via note_leaked; they rejoin
-        # the free list when their slot is overwritten (push) or proven
-        # dead at re-attach/teardown (reclaim_dead_slots).
+        # entry).  The producer records them via note_leaked; they are
+        # retired when their slot is overwritten (push) or proven dead at
+        # re-attach/teardown (reclaim_dead_slots).
         self._leaked: dict[int, SQE] = {}
         self.leak_reclaims = 0
         #: optional callback fired with the count of reclaimed SQEs
@@ -85,8 +85,8 @@ class SubmissionQueue:
         stale = self._leaked.pop(slot, None)
         if stale is not None:
             # overwriting the slot proves nothing can fetch the stale
-            # entry anymore, so it may rejoin the free list
-            free_sqe(stale)
+            # entry anymore (a consumer may still be executing it)
+            retire_sqe(stale)
             self.leak_reclaims += 1
             if self.on_reclaim is not None:
                 self.on_reclaim(1)
@@ -137,7 +137,7 @@ class SubmissionQueue:
         for slot in sorted(self._leaked):
             if (slot - head) % depth < live:
                 continue
-            free_sqe(self._leaked.pop(slot))
+            retire_sqe(self._leaked.pop(slot))
             freed += 1
         if freed:
             self.leak_reclaims += freed

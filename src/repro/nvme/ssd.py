@@ -27,7 +27,7 @@ from .command import SQE, alloc_cqe
 from .firmware import FirmwareImage, FirmwareSlots
 from .flash import FlashBackend, FlashProfile, P4510_PROFILE
 from .namespace import Namespace
-from .prp import PRPList, pages_for
+from .prp import page_spans, prp_list_bytes, walk_prps
 from .queues import CompletionQueue, QueuePair, SubmissionQueue
 from .spec import (
     CQE_BYTES,
@@ -269,7 +269,7 @@ class NVMeSSD:
         if not ns.contains(slba, nblocks):
             return int(StatusCode.LBA_OUT_OF_RANGE), 0
         length = nblocks * ns.block_bytes
-        pages, prp_list = yield from self._resolve_prps(sqe, length, translation)
+        pages = yield from self._resolve_prps(sqe, length, translation)
 
         if self.faults is not None:
             stall = self.faults.media_stall_ns(self.name, span=span)
@@ -323,18 +323,14 @@ class NVMeSSD:
         return int(StatusCode.INVALID_OPCODE), 0
 
     def _resolve_prps(self, sqe: SQE, length: int, translation=None):
-        npages = len(pages_for(sqe.prp1, length))
-        if npages <= 2:
-            pages = [sqe.prp1] if npages == 1 else [sqe.prp1, sqe.prp2]
-            entry = None
-        else:
+        list_bytes = prp_list_bytes(sqe.prp1, length)
+        prp_list = None
+        if list_bytes:
             list_addr = sqe.prp2
             if translation is not None:
                 list_addr = translation.tag(list_addr)
-            entry = yield self.port.mem_read(list_addr, (npages - 1) * 8)
-            if not isinstance(entry, PRPList):
-                raise SimulationError(f"{self.name}: bad PRP list at {sqe.prp2:#x}")
-            pages = [sqe.prp1, *entry.entries[: npages - 1]]
+            prp_list = yield self.port.mem_read(list_addr, list_bytes)
+        pages = walk_prps(sqe.prp1, sqe.prp2, length, prp_list)
         if self.checks is not None:
             self.checks.on_prp_chain(
                 pages, length, span=sqe.span,
@@ -344,20 +340,15 @@ class NVMeSSD:
             # guest PRPs name host pages: tag each with the function id
             # so the engine's root space routes the TLPs out the front
             pages = [translation.tag(p) for p in pages]
-        return pages, entry
+        return pages
 
     def _dma_out(self, pages: list[int], length: int, payload: Optional[bytes]):
         """DMA data toward the PRP pages (device -> memory)."""
         if payload is None:
             yield self.port.mem_write(pages[0], length, None)
             return
-        offset = 0
-        for page_addr in pages:
-            chunk = min(PAGE_SIZE - (page_addr % PAGE_SIZE), length - offset)
+        for page_addr, offset, chunk in page_spans(pages, length):
             yield self.port.mem_write(page_addr, chunk, payload[offset : offset + chunk])
-            offset += chunk
-            if offset >= length:
-                break
 
     def _dma_in(self, pages: list[int], length: int, want_data: bool):
         """DMA data from the PRP pages (memory -> device)."""
@@ -365,14 +356,9 @@ class NVMeSSD:
             yield self.port.mem_read(pages[0], length)
             return None
         out = bytearray()
-        offset = 0
-        for page_addr in pages:
-            chunk = min(PAGE_SIZE - (page_addr % PAGE_SIZE), length - offset)
+        for page_addr, _, chunk in page_spans(pages, length):
             data = yield self.port.mem_read(page_addr, chunk)
             out += data if isinstance(data, (bytes, bytearray)) else bytes(chunk)
-            offset += chunk
-            if offset >= length:
-                break
         return bytes(out)
 
     # -------------------------------------------------------------- block data

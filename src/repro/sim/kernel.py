@@ -199,13 +199,6 @@ class Event:
         self._pinned = True
         return self
 
-    def _run_callbacks(self) -> None:
-        # kept for API compatibility; the dispatch loops inline this
-        self._processed = True
-        callbacks, self.callbacks = self.callbacks, []
-        for cb in callbacks:
-            cb(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self._processed else ("triggered" if self._triggered else "pending")
         if self._defunct:

@@ -134,6 +134,26 @@ def test_namespace_on_sata_backend_full_path():
     assert disk.reads == 1 and disk.writes == 1
 
 
+def test_sata_large_io_with_cxl_spilled_prp_list():
+    # chip memory full: the engine parks the 32-page I/O's PRP list in
+    # the CXL tier, and the SATA slot must resolve it from there
+    rig, disk, driver = sata_rig()
+    cxl = rig.engine.cxl_tier()
+    chip = rig.engine.chip_memory
+    chip.alloc(chip.size - chip.allocated, align=1)
+    payload = bytes(range(256)) * 16 * 32
+
+    def flow():
+        info = yield driver.write(64, 32, payload=payload)
+        assert info.ok
+        info = yield driver.read(64, 32, want_data=True)
+        return info
+
+    info = rig.sim.run(rig.sim.process(flow()))
+    assert info.ok and info.data == payload
+    assert cxl.spills == 1
+
+
 def test_sata_slot_pause_resume():
     rig, disk, driver = sata_rig()
     slot = rig.engine.adaptor.slot_for(1)

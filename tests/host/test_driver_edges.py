@@ -1,7 +1,10 @@
 """NVMe-driver edge cases: backpressure, cid management, concurrency."""
 
+import pytest
 
-from repro.baselines import build_native
+from repro.baselines import SPDKVhostTarget, build_bmstore, build_native
+from repro.nvme import AdminOpcode
+from repro.sim.units import GIB
 
 
 def test_queue_depth_backpressure_blocks_excess_submissions():
@@ -87,13 +90,27 @@ def test_latency_includes_submission_path():
     assert latency > floor
 
 
-def test_buffer_pool_reuse_keeps_memory_bounded():
+def _pooled_initiator(initiator):
+    """A native rig plus a block target that DMAs from host pools: the
+    NVMe driver, or an SPDK vhost vdev on the same drive."""
     rig = build_native(1)
-    driver = rig.driver()
+    if initiator == "driver":
+        return rig, rig.driver()
+    vhost = SPDKVhostTarget(rig.host, [rig.ssds[0]])
+    vdev = vhost.create_vdev("vd0", 0, 0, 1 << 20)
+    vhost.start()
+    return rig, vdev
+
+
+@pytest.mark.parametrize("nblocks", [1, 32])
+@pytest.mark.parametrize("initiator", ["driver", "spdk"])
+def test_buffer_pool_reuse_keeps_memory_bounded(initiator, nblocks):
+    # 32 blocks = 128 KiB: the PRP list rides in a pooled buffer too
+    rig, driver = _pooled_initiator(initiator)
 
     def flow():
         for i in range(200):
-            yield driver.read(i, 1)
+            yield driver.read(i * nblocks, nblocks)
 
     before = rig.host.memory.allocated
     rig.sim.run(rig.sim.process(flow()))
@@ -101,8 +118,25 @@ def test_buffer_pool_reuse_keeps_memory_bounded():
 
     def flow2():
         for i in range(200):
-            yield driver.read(i, 1)
+            yield driver.read(i * nblocks, nblocks)
 
     rig.sim.run(rig.sim.process(flow2()))
     # the second round recycles the first round's buffers entirely
     assert rig.host.memory.allocated == first_round
+
+
+@pytest.mark.parametrize("scheme", ["native", "bmstore"])
+def test_admin_burst_beyond_ring_depth_completes(scheme):
+    # twice the 32-deep admin ring in flight at once (an abort storm
+    # after mass timeouts looks like this): submitters must wait for
+    # ring space instead of overflowing the admin SQ/CQ
+    if scheme == "native":
+        rig = build_native(1)
+        driver = rig.driver()
+    else:
+        rig = build_bmstore(num_ssds=1)
+        driver = rig.baremetal_driver(rig.provision("ns0", 64 * GIB))
+    events = [driver.admin(AdminOpcode.GET_FEATURES) for _ in range(64)]
+    rig.sim.run(rig.sim.all_of(events))
+    assert all(ev.value.ok for ev in events)
+    assert driver.stats.completed == 64

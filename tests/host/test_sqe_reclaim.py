@@ -2,9 +2,9 @@
 
 A timed-out command releases its queue slot while its stale SQE still
 sits in the ring (nothing fetches during a passthrough outage).  The
-entry rejoins the pool free list at one of two provably-safe points:
-its slot is overwritten by a later push, or the queue is re-attached
-and the slot proven outside the live fetch window.  The soak test pins
+entry is retired (counted dead, never recycled) at one of two
+provably-safe points: its slot is overwritten by a later push, or the
+queue is re-attached and the slot proven outside the live fetch window.  The soak test pins
 the end-to-end property the pool stats exist for: the high-water mark
 stabilizes across repeated fault storms instead of climbing.
 """
@@ -13,7 +13,7 @@ from repro.baselines import build_bmstore, build_native
 from repro.faults import FaultPlan, get_preset
 from repro.host.memory import HostMemory
 from repro.nvme import SQE, SubmissionQueue
-from repro.nvme.command import alloc_sqe, pool_stats
+from repro.nvme.command import alloc_sqe, free_sqe, pool_stats
 from repro.sim import Simulator
 from repro.sim.units import MS, ms, us
 
@@ -43,6 +43,26 @@ def test_push_overwrite_reclaims_leaked_slot():
     assert sq.leak_reclaims == 1
     assert reclaimed == [1]
     assert pool_stats()["sqe_outstanding"] == outstanding_before - 1
+
+
+def test_reclaimed_sqe_is_never_handed_to_a_new_command():
+    # a drive may still be executing a timed-out command it fetched
+    # before the timeout: recycling its entry would rewrite the cid and
+    # PRPs under that execution (its CQE would complete the new command)
+    sq = make_sq(depth=8)
+    for i in range(4):
+        sq.push(SQE(opcode=2, cid=i, nsid=1))
+        sq.consume_addr()
+    stale = alloc_sqe(opcode=2, cid=99, nsid=1, prp2=0x5000)
+    sq.note_leaked(2, stale)
+    for i in range(7):
+        sq.push(SQE(opcode=2, cid=10 + i, nsid=1))
+        sq.consume_addr()
+    assert sq.leak_reclaims == 1
+    fresh = alloc_sqe(opcode=2, cid=7, nsid=1, prp2=0x9000)
+    assert fresh is not stale
+    assert (stale.cid, stale.prp2) == (99, 0x5000)
+    free_sqe(fresh)
 
 
 def test_reclaim_dead_slots_spares_the_live_window():

@@ -3,14 +3,17 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.host.memory import PAGE_SIZE, HostMemory
+from repro.host.memory import PAGE_SIZE, BufferPool, HostMemory
 from repro.nvme import (
     CQE,
     SQE,
     CompletionQueue,
     SubmissionQueue,
     build_prps,
+    page_spans,
     pages_for,
+    prp_list_bytes,
+    release_prps,
     walk_prps,
 )
 from repro.nvme.prp import PRPList
@@ -126,21 +129,21 @@ def test_pages_for_zero_length():
 def test_build_prps_single_page():
     sim, mem = make_mem()
     buf = mem.alloc(PAGE_SIZE)
-    prp1, prp2 = build_prps(mem, buf, PAGE_SIZE)
+    prp1, prp2 = build_prps(BufferPool(mem), pages_for(buf, PAGE_SIZE))
     assert prp1 == buf and prp2 == 0
 
 
 def test_build_prps_two_pages_direct():
     sim, mem = make_mem()
     buf = mem.alloc(2 * PAGE_SIZE)
-    prp1, prp2 = build_prps(mem, buf, 2 * PAGE_SIZE)
+    prp1, prp2 = build_prps(BufferPool(mem), pages_for(buf, 2 * PAGE_SIZE))
     assert prp1 == buf and prp2 == buf + PAGE_SIZE
 
 
 def test_build_prps_list_for_large_transfer():
     sim, mem = make_mem()
     buf = mem.alloc(32 * PAGE_SIZE)
-    prp1, prp2 = build_prps(mem, buf, 32 * PAGE_SIZE)
+    prp1, prp2 = build_prps(BufferPool(mem), pages_for(buf, 32 * PAGE_SIZE))
     assert prp1 == buf
     entry = mem.load_obj(prp2)
     assert isinstance(entry, PRPList)
@@ -153,8 +156,8 @@ def test_walk_prps_covers_whole_transfer(npages, offset):
     mem = HostMemory(sim, 1 << 30)
     length = npages * PAGE_SIZE
     buf = mem.alloc(length + PAGE_SIZE) + offset
-    prp1, prp2 = build_prps(mem, buf, length)
-    pages, _ = walk_prps(mem, prp1, prp2, length)
+    prp1, prp2 = build_prps(BufferPool(mem), pages_for(buf, length))
+    pages = walk_prps(prp1, prp2, length, mem.load_obj(prp2))
     covered = 0
     for page_addr in pages:
         covered += min(PAGE_SIZE - page_addr % PAGE_SIZE, length - covered)
@@ -165,7 +168,7 @@ def test_walk_prps_covers_whole_transfer(npages, offset):
 def test_walk_prps_bad_list_pointer_rejected():
     sim, mem = make_mem()
     with pytest.raises(SimulationError, match="PRP list"):
-        walk_prps(mem, 0, 0xDEAD, 10 * PAGE_SIZE)
+        walk_prps(0, 0xDEAD, 10 * PAGE_SIZE, mem.load_obj(0xDEAD))
 
 
 def test_walk_prps_unaligned_prp2_rejected():
@@ -173,7 +176,7 @@ def test_walk_prps_unaligned_prp2_rejected():
     # only prp1 may carry a page offset; an offset prp2 would DMA into
     # the middle of the wrong page
     with pytest.raises(SimulationError, match="prp2 .* not page-aligned"):
-        walk_prps(mem, 0x1000, 0x2000 + 8, 2 * PAGE_SIZE)
+        walk_prps(0x1000, 0x2000 + 8, 2 * PAGE_SIZE, None)
 
 
 def test_walk_prps_unaligned_list_entry_rejected():
@@ -182,7 +185,7 @@ def test_walk_prps_unaligned_list_entry_rejected():
     entries = [2 * PAGE_SIZE, 3 * PAGE_SIZE + 4, 4 * PAGE_SIZE]
     mem.store_obj(list_addr, PRPList(list_addr, entries))
     with pytest.raises(SimulationError, match="list entry .* not page-aligned"):
-        walk_prps(mem, 0x1000, list_addr, 4 * PAGE_SIZE)
+        walk_prps(0x1000, list_addr, 4 * PAGE_SIZE, mem.load_obj(list_addr))
 
 
 def test_walk_prps_ignores_stale_tail_beyond_transfer():
@@ -192,11 +195,45 @@ def test_walk_prps_ignores_stale_tail_beyond_transfer():
     # so it must not be validated (lists may be recycled with stale tails)
     entries = [2 * PAGE_SIZE, 3 * PAGE_SIZE, 5 * PAGE_SIZE + 4]
     mem.store_obj(list_addr, PRPList(list_addr, entries))
-    pages, _ = walk_prps(mem, 0x1000, list_addr, 3 * PAGE_SIZE)
+    pages = walk_prps(0x1000, list_addr, 3 * PAGE_SIZE, mem.load_obj(list_addr))
     assert pages == [0x1000, 2 * PAGE_SIZE, 3 * PAGE_SIZE]
 
 
 def test_build_prps_zero_length_rejected():
     sim, mem = make_mem()
     with pytest.raises(SimulationError):
-        build_prps(mem, 0x1000, 0)
+        build_prps(BufferPool(mem), pages_for(0x1000, 0))
+
+
+def test_release_prps_serves_list_address_back_as_plain_bytes():
+    sim, mem = make_mem()
+    pool = BufferPool(mem)
+    length = 32 * PAGE_SIZE
+    buf = pool.get(length)
+    prp1, prp2 = build_prps(pool, pages_for(buf, length))
+    release_prps(pool, prp1, prp2, length)
+    # the list's page-rounded bucket hands the address to a data buffer,
+    # which must read back bytes, not the parked PRPList
+    data_buf = pool.get(PAGE_SIZE)
+    assert data_buf == prp2
+    payload = bytes(range(256)) * 16
+    mem.mem_write(data_buf, PAGE_SIZE, payload)
+    assert mem.mem_read(data_buf, PAGE_SIZE) == payload
+
+
+def test_prp_list_bytes_only_beyond_two_pages():
+    assert prp_list_bytes(0x1000, PAGE_SIZE) == 0
+    assert prp_list_bytes(0x1000, 2 * PAGE_SIZE) == 0
+    # an offset prp1 spills a two-page transfer onto a third page
+    assert prp_list_bytes(0x1000 + 100, 2 * PAGE_SIZE) == 2 * 8
+    assert prp_list_bytes(0x1000, 32 * PAGE_SIZE) == 31 * 8
+
+
+def test_page_spans_cover_transfer_from_offset_first_page():
+    pages = pages_for(PAGE_SIZE + 100, 2 * PAGE_SIZE)
+    spans = list(page_spans(pages, 2 * PAGE_SIZE))
+    assert spans == [
+        (PAGE_SIZE + 100, 0, PAGE_SIZE - 100),
+        (2 * PAGE_SIZE, PAGE_SIZE - 100, PAGE_SIZE),
+        (3 * PAGE_SIZE, 2 * PAGE_SIZE - 100, 100),
+    ]
