@@ -139,11 +139,12 @@ class VhostBlockDevice:
         start = self.sim.now
         req = _VirtioRequest(opcode, lba, nblocks, payload, want_data, done, start, self)
 
+        cfg = self.target.config
+
         def guest_submit():
-            cfg = self.target.config
-            yield self.sim.timeout(cfg.guest_submit_ns)
-            contended = self._vq_lock.in_use > 0 or self._vq_lock.queued > 0
-            yield self._vq_lock.acquire()
+            contended = not self._vq_lock.try_acquire()
+            if contended:
+                yield self._vq_lock.acquire()
             yield self.sim.timeout(
                 cfg.guest_vq_lock_contended_ns if contended else cfg.guest_vq_lock_ns
             )
@@ -151,7 +152,8 @@ class VhostBlockDevice:
             self.ring.append(req)
             self.submitted += 1
 
-        self.sim.spawn(guest_submit(), name=f"{self.name}.gsub")
+        self.sim.spawn(guest_submit(), name=f"{self.name}.gsub",
+                       delay=cfg.guest_submit_ns)
         return done
 
 
@@ -304,8 +306,7 @@ class SPDKVhostTarget:
         req = entry.request
         req.vdev.completed += 1
 
-        def guest_side():
-            yield self.sim.timeout(self.config.guest_irq_ns)
+        def guest_side(_ev) -> None:
             ok = cqe.status == int(StatusCode.SUCCESS)
             data = None
             if req.want_data and entry.length:
@@ -316,7 +317,7 @@ class SPDKVhostTarget:
             latency = self.sim.now - req.start_ns
             req.done.succeed(CompletionInfo(ok, cqe.status, data, latency))
 
-        self.sim.spawn(guest_side(), name="vhost.girq")
+        self.sim.timeout(self.config.guest_irq_ns).callbacks.append(guest_side)
 
     # -------------------------------------------------------------- reporting
     def cpu_utilization(self, since: int = 0) -> float:

@@ -575,7 +575,7 @@ class CheckContext:
     def on_event_dispatch(self, sim, event) -> None:
         """Per-event hook in the kernel dispatch loop (step + run)."""
         self._note("kernel")
-        now = sim._now
+        now = sim.now
         if now < self._last_now:
             self._fail("kernel", "simulation clock moved backwards",
                        now=now, last=self._last_now, event=event.name)

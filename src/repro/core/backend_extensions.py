@@ -62,7 +62,7 @@ class ExtendedBackendSlot:
         if self.paused:
             self.pause_buffer.append(req)
         else:
-            self.sim.spawn(self._run(req), name=f"{self.name}.fwd")
+            self.sim.start(self._run(req), name=f"{self.name}.fwd")
 
     def _run(self, req: ForwardRequest):
         if self.paused:
@@ -95,7 +95,7 @@ class ExtendedBackendSlot:
         self.paused = False
         buffered, self.pause_buffer = self.pause_buffer, []
         for req in buffered:
-            self.sim.spawn(self._run(req), name=f"{self.name}.replay")
+            self.sim.start(self._run(req), name=f"{self.name}.replay")
 
     def drain(self) -> Event:
         ev = self.sim.event(name=f"{self.name}.drained")

@@ -118,10 +118,10 @@ class BMSController:
     # ----------------------------------------------------- NVMe-MI dispatch
     def _on_mi_message(self, src_eid: int, raw: bytes) -> None:
         request = MIRequest.from_bytes(raw)
-        self.sim.spawn(self._serve(src_eid, request), name=f"{self.name}.mi")
+        self.sim.spawn(self._serve(src_eid, request), name=f"{self.name}.mi",
+                       delay=self.timings.command_processing_ns)
 
     def _serve(self, src_eid: int, request: MIRequest):
-        yield self.sim.timeout(self.timings.command_processing_ns)
         try:
             status, body = yield from self._execute(request)
         except SimulationError as exc:

@@ -216,7 +216,6 @@ class CXLBufferTier:
             self.sim, self.timings.bytes_per_sec, name=f"{engine.name}.cxl"
         )
         self.share = SharePool(engine, self.timings)
-        self._rd_pname = engine.name + ".cxlrd"
         #: retired spilled buffers, recyclable before growing the window
         self._window_free: dict[int, list[int]] = {}
         #: revoked borrowed addresses still held by in-flight commands
@@ -347,18 +346,15 @@ class CXLBufferTier:
         self._publish()
 
     # ------------------------------------------------------------- datapath
-    def window_read(self, addr: int, length: int) -> Event:
-        """A backend read of a tier-resident address: link + media time."""
+    def window_read(self, addr: int, length: int, reply) -> None:
+        """A backend read of a tier-resident address: link + media time,
+        then ``reply(data)``."""
         mem = self.owner_memory(addr)
-        done = self.sim.event(name=f"{self.engine.name}.cxlrd")
 
-        def proc():
-            yield self.link.transfer(length)
-            yield self.sim.timeout(mem.access_ns)
-            done.succeed(mem.mem_read(addr, length))
+        def land(_ev: Event) -> None:
+            reply(mem.mem_read(addr, length))
 
-        self.sim.spawn(proc(), name=self._rd_pname)
-        return done
+        self.link.transfer(length, extra_ns=mem.access_ns).callbacks.append(land)
 
     # ------------------------------------------------------------------ stats
     def stat(self) -> dict:

@@ -188,24 +188,16 @@ class DescriptorRingDMA:
             self.peak_depth = len(self._fifo)
         if not self._worker_live:
             self._worker_live = True
-            self.sim.spawn(self._worker(), name=f"{self.name}.worker")
+            self.sim.start(self._worker(), name=f"{self.name}.worker")
 
     def _worker(self):
         while self._fifo:
             kind, host_addr, length, data, done = self._fifo.pop(0)
             self.descriptors += 1
             yield self.sim.timeout(self.per_desc_ns)
+            # launch without waiting: the fabric paces the bytes
             if kind == "w":
-                self.sim.spawn(self._issue_write(host_addr, length, data),
-                               name=f"{self.name}.w")
+                self.port.post_write(host_addr, length, data)
             else:
-                self.sim.spawn(self._issue_read(host_addr, length, done),
-                               name=f"{self.name}.r")
+                self.sim.redirect(done, self.port.mem_read(host_addr, length))
         self._worker_live = False
-
-    def _issue_write(self, host_addr: int, length: int, data):
-        yield self.port.mem_write(host_addr, length, data)
-
-    def _issue_read(self, host_addr: int, length: int, done):
-        data = yield self.port.mem_read(host_addr, length)
-        done.succeed(data)

@@ -32,7 +32,7 @@ from ..nvme.spec import CQE_BYTES, LBA_BYTES, SQE_BYTES, IOOpcode, StatusCode
 from ..nvme.ssd import NVMeSSD
 from ..obs import IOSpan, MetricsRegistry
 from ..pcie.fabric import PCIeFabric
-from ..sim import BandwidthLink, Event, Resource, SimulationError, Simulator
+from ..sim import BandwidthLink, Event, SimulationError, Simulator
 from .axi import AXIBus
 from .dma_routing import (
     DMA_MODELS,
@@ -143,19 +143,19 @@ class _BackendRootSpace:
             engine.adaptor.notice_write(addr)
 
     def mem_read(self, addr: int, length: int):
-        # only reached for local reads via the sync path
         return self.engine._prp_pool.memory_for(addr).mem_read(addr, length)
 
-    def mem_read_async(self, addr: int, length: int) -> Event:
+    def mem_read_async(self, addr: int, length: int, reply) -> None:
         if is_global_prp(addr):
-            return self.engine._route_dma_read(addr, length)
+            self.engine._route_dma_read(addr, length).callbacks.append(
+                lambda ev: reply(ev._value))
+            return
         cxl = self.engine.cxl
         if cxl is not None and cxl.contains(addr):
             # tier-resident PRP list: pay the CXL link + media latency
-            return cxl.window_read(addr, length)
-        ev = self.engine.sim.event(name="chipread")
-        ev.succeed(self.engine.chip_memory.mem_read(addr, length))
-        return ev
+            cxl.window_read(addr, length, reply)
+            return
+        reply(self.engine.chip_memory.mem_read(addr, length))
 
 
 class BMSEngine:
@@ -179,12 +179,13 @@ class BMSEngine:
         self.sim: Simulator = host.sim
         self.host = host
         self.name = name
-        # hot-path process names resolved once, not per command
-        self._ptdb_pname = name + ".ptdb"
+        # hot-path process and event names resolved once, not per command
         self._fetch_pname = name + ".fetch"
         self._cmd_pname = name + ".cmd"
         self._dmaw_pname = name + ".dmaw"
         self._dmarp_pname = name + ".dmarp"
+        self._dmar_name = name + ".dmar"
+        self._dmawv_name = name + ".dmawv"
         self._cqe_pname = name + ".cqe"
         self.timings = timings
         self.zero_copy = zero_copy
@@ -243,7 +244,8 @@ class BMSEngine:
         if checks is not None:
             checks.bind_engine(self)
             checks.bind_pool(self._prp_pool)
-        self._pipeline = Resource(self.sim, 1, name=f"{name}.pipe")
+        #: when the pipeline's one issue slot next frees (step ② entry)
+        self._issue_free_at = 0
         self._fn_stats: dict[int, _FnStats] = {}
         #: fn_id -> PassthroughBinding for functions in passthrough mode
         self._passthrough: dict[int, PassthroughBinding] = {}
@@ -580,13 +582,14 @@ class BMSEngine:
             return
         if qid != 0 and fn.passthrough is not None:
             # passthrough: no SQE fetch, no pipeline — just relay the
-            # doorbell to the mapped device queue
-            self.sim.spawn(self._passthrough_db(fn, qid), name=self._ptdb_pname)
+            # doorbell to the mapped device queue after a fixed delay
+            self.sim.timeout(self.timings.passthrough_db_ns).callbacks.append(
+                lambda _ev: self._passthrough_db(fn, qid))
             return
-        self.sim.spawn(self._fetch_loop(fn, qid, qp), name=self._fetch_pname)
+        self.sim.spawn(self._fetch_loop(fn, qid, qp), name=self._fetch_pname,
+                       delay=self.timings.doorbell_ns)
 
-    def _passthrough_db(self, fn: FrontEndFunction, qid: int):
-        yield self.sim.timeout(self.timings.passthrough_db_ns)
+    def _passthrough_db(self, fn: FrontEndFunction, qid: int) -> None:
         binding = self._passthrough.get(fn.fn_id)
         if binding is None:
             return
@@ -601,7 +604,8 @@ class BMSEngine:
         ssd._on_sq_doorbell(dev_qid)
 
     def _fetch_loop(self, fn: FrontEndFunction, qid: int, qp):
-        yield self.sim.timeout(self.timings.doorbell_ns)
+        """Step ①, from ``doorbell_ns`` after the front doorbell: one
+        command process per published SQE, one issue slot apart."""
         sq = qp.sq
         while True:
             while sq.tail != sq.head:
@@ -649,10 +653,7 @@ class BMSEngine:
 
         nblocks = sqe.num_blocks
         length = nblocks * LBA_BYTES
-        yield self._pipeline.acquire()
-        yield self.sim.timeout(self.timings.issue_ns)
-        self._pipeline.release()
-        yield self.sim.timeout(self.timings.pipeline_ns)
+        yield self.pipeline_stage()
 
         span = sqe.span
         # ② LBA mapping
@@ -670,7 +671,9 @@ class BMSEngine:
             span.stamp("lba_map", self.sim.now)
 
         # ② QoS: over-threshold commands sit in the command buffer
-        yield self.qos.admit(fn.ns_key, length, span=span)
+        gate = self.qos.admit(fn.ns_key, length, span=span)
+        if gate is not None:
+            yield gate
         if span is not None:
             span.stamp("qos", self.sim.now)
 
@@ -705,6 +708,17 @@ class BMSEngine:
         self.forward_io(int(IOOpcode.FLUSH), [(ssd_id, 0, 1) for ssd_id in ssd_ids],
                         [0] * len(ssd_ids), None, None,
                         self._front_done(fn, qid, sqe))
+
+    def pipeline_stage(self) -> Event:
+        """Step ②'s entry: the pipeline's single issue slot, FIFO, for
+        ``issue_ns``, then the ``pipeline_ns`` stages.  Both delays are
+        known when the command arrives, so the slot is a busy-until
+        clock and the whole stage one timer."""
+        now = self.sim.now
+        start = now if now > self._issue_free_at else self._issue_free_at
+        timings = self.timings
+        self._issue_free_at = start + timings.issue_ns
+        return self.sim.timeout(start + timings.issue_ns + timings.pipeline_ns - now)
 
     def _front_done(self, fn: FrontEndFunction, qid: int, sqe: SQE):
         """Step ⑦ for a forwarded front command: the fanned-in status."""
@@ -804,16 +818,37 @@ class BMSEngine:
         if self._dma_model_by_fn.get(fn_id) == "descriptor":
             self._descriptor_engine().submit_write(host_addr, length, data)
             return
-        self.sim.spawn(self._route_write_proc(host_addr, length, data),
-                       name=self._dmaw_pname)
+        self._route_write(host_addr, length, data, None)
 
-    def _route_write_proc(self, host_addr: int, length: int, data):
+    def _route_write(self, host_addr: int, length: int, data,
+                     landed: Optional[Event]) -> None:
+        """Cut-through routing is a fixed per-TLP delay (Fig. 4b): one
+        timer, then a posted write out of the front port.  ``landed``,
+        if given, fires when the write reaches host memory."""
         if not self.zero_copy:
-            # ablation: store-and-forward through FPGA DRAM (in + out)
-            yield self._chip_dram_bus.transfer(length)
-            yield self._chip_dram_bus.transfer(length)
-        yield self.sim.timeout(self.timings.cut_through_ns)
-        yield self.front_port.mem_write(host_addr, length, data)
+            self.sim.spawn(self._route_write_proc(host_addr, length, data, landed),
+                           name=self._dmaw_pname)
+            return
+
+        def forward(_ev: Event) -> None:
+            self._front_write(host_addr, length, data, landed)
+
+        self.sim.timeout(self.timings.cut_through_ns).callbacks.append(forward)
+
+    def _front_write(self, host_addr: int, length: int, data,
+                     landed: Optional[Event]) -> None:
+        if landed is None:
+            self.front_port.post_write(host_addr, length, data)
+        else:
+            self.sim.redirect(landed, self.front_port.mem_write(host_addr, length, data))
+
+    def _route_write_proc(self, host_addr: int, length: int, data,
+                          landed: Optional[Event]):
+        """The store-and-forward ablation: through FPGA DRAM (in, then
+        out), then the cut-through stage."""
+        yield self._chip_dram_bus.transfer(length)
+        yield self._chip_dram_bus.transfer(length, extra_ns=self.timings.cut_through_ns)
+        self._front_write(host_addr, length, data, landed)
 
     def route_dma_write_event(self, gaddr: int, length: int, data) -> Event:
         """Like the TLP-triggered routing, but returns the delivery event
@@ -821,33 +856,37 @@ class BMSEngine:
         fn_id, host_addr, _ = decode_global_prp(gaddr)
         self._check_fn(fn_id)
         self.route_stats.note_write(length)
-        done = self.sim.event(name=f"{self.name}.dmawv")
-
-        def runner():
-            yield from self._route_write_proc(host_addr, length, data)
-            done.succeed()
-
-        self.sim.spawn(runner(), name=f"{self.name}.dmawp")
-        return done
+        landed = self.sim.pooled_event(self._dmawv_name)
+        self._route_write(host_addr, length, data, landed)
+        return landed
 
     def _route_dma_read(self, gaddr: int, length: int) -> Event:
-        """Step ⑤ for writes: SSD DMA read at a global address."""
+        """Step ⑤ for writes: SSD DMA read at a global address.  The
+        returned event stands in for the front-port read issued after
+        the cut-through delay, which then resumes its waiters itself."""
         fn_id, host_addr, _ = decode_global_prp(gaddr)
         self._check_fn(fn_id)
         self.route_stats.note_read(length)
         if self._dma_model_by_fn.get(fn_id) == "descriptor":
             return self._descriptor_engine().submit_read(host_addr, length)
-        done = self.sim.event(name=f"{self.name}.dmar")
-        self.sim.spawn(self._route_read_proc(host_addr, length, done),
-                       name=self._dmarp_pname)
+        done = self.sim.pooled_event(self._dmar_name)
+        if not self.zero_copy:
+            self.sim.spawn(self._route_read_proc(host_addr, length, done),
+                           name=self._dmarp_pname)
+            return done
+
+        def fetch(_ev: Event) -> None:
+            self.sim.redirect(done, self.front_port.mem_read(host_addr, length))
+
+        self.sim.timeout(self.timings.cut_through_ns).callbacks.append(fetch)
         return done
 
     def _route_read_proc(self, host_addr: int, length: int, done: Event):
+        """The store-and-forward ablation of a routed read."""
         yield self.sim.timeout(self.timings.cut_through_ns)
         data = yield self.front_port.mem_read(host_addr, length)
-        if not self.zero_copy:
-            yield self._chip_dram_bus.transfer(length)
-            yield self._chip_dram_bus.transfer(length)
+        yield self._chip_dram_bus.transfer(length)
+        yield self._chip_dram_bus.transfer(length)
         done.succeed(data)
 
     def _check_fn(self, fn_id: int) -> None:
@@ -861,11 +900,10 @@ class BMSEngine:
         """Step ⑦: relay the completion into the host CQ + MSI-X."""
         self.sim.spawn(
             self._post_cqe_proc(fn, qid, cid, status, result, span),
-            name=self._cqe_pname,
+            name=self._cqe_pname, delay=self.timings.cqe_relay_ns,
         )
 
     def _post_cqe_proc(self, fn, qid, cid, status, result, span=None):
-        yield self.sim.timeout(self.timings.cqe_relay_ns)
         if not self.zero_copy:
             # store-and-forward ablation: PCIe ordering means the CQE
             # cannot pass the buffered data still draining out of the

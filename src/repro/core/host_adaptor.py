@@ -105,6 +105,8 @@ class BackendSlot:
         event or a leaked slot.
         """
         removed = self.detach_ssd()
+        if removed is not None:
+            removed.on_removed()
         failed, self.pending = self.pending, {}
         buffered, self.pause_buffer = self.pause_buffer, []
         for cid in sorted(failed):
@@ -124,10 +126,11 @@ class BackendSlot:
     # ---------------------------------------------------------- admin path
     def forward_admin(self, sqe: SQE, on_complete: Callable[[int], None]) -> None:
         """Issue an admin command to the drive (BMS-Controller use)."""
-        self.sim.spawn(self._forward_admin(sqe, on_complete), name="slot.admin")
+        self.sim.timeout(self.adaptor.push_ns).callbacks.append(
+            lambda _ev: self._forward_admin(sqe, on_complete))
 
-    def _forward_admin(self, sqe: SQE, on_complete: Callable[[int], None]):
-        yield self.sim.timeout(self.adaptor.push_ns)
+    def _forward_admin(self, sqe: SQE, on_complete: Callable[[int], None]) -> None:
+        """``push_ns`` after :meth:`forward_admin`: into the admin SQ."""
         if self.ssd is None:
             # surprise-removed drive: the admin command fails fast
             on_complete(int(StatusCode.NAMESPACE_NOT_READY))
@@ -136,13 +139,12 @@ class BackendSlot:
         sqe.cid = self._next_admin_cid
         self._admin_pending[sqe.cid] = on_complete
         self.admin_sq.push(sqe)
-        yield self.adaptor.backend_fabric.cpu_write(self.ssd.doorbell_addr(0), 4)
+        self.adaptor.backend_fabric.cpu_write(self.ssd.doorbell_addr(0), 4)
 
     def on_admin_cq_write(self) -> None:
-        self.sim.spawn(self._reap_admin(), name="slot.adminreap")
+        self.sim.timeout(self.adaptor.cqe_relay_ns).callbacks.append(self._reap_admin)
 
-    def _reap_admin(self):
-        yield self.sim.timeout(self.adaptor.cqe_relay_ns)
+    def _reap_admin(self, _ev: Event) -> None:
         while True:
             cqe = self.admin_cq.poll()
             if cqe is None:
@@ -169,7 +171,7 @@ class BackendSlot:
         self.paused = False
         buffered, self.pause_buffer = self.pause_buffer, []
         for req in buffered:
-            self.sim.spawn(self._forward_now(req), name="slot.replay")
+            self.sim.start(self._forward_now(req), name="slot.replay")
 
     def drain(self) -> Event:
         """Event firing when no commands remain at the SSD."""
@@ -197,13 +199,14 @@ class BackendSlot:
         if self.paused:
             self.pause_buffer.append(req)
         else:
-            self.sim.spawn(self._forward_now(req), name="slot.fwd")
+            self.sim.start(self._forward_now(req), name="slot.fwd")
 
     def _forward_now(self, req: ForwardRequest):
         if self.paused:
             self.pause_buffer.append(req)
             return
-        yield self.slots.acquire()
+        if not self.slots.try_acquire():
+            yield self.slots.acquire()
         yield self.sim.timeout(self.adaptor.push_ns)
         if self.ssd is None:
             # surprise-removed drive: fail fast with a real NVMe status
@@ -219,17 +222,17 @@ class BackendSlot:
         self.inflight += 1
         self.forwarded += 1
         self.sq.push(sqe)
-        yield self.adaptor.backend_fabric.cpu_write(
-            self.ssd.doorbell_addr(BACKEND_QID), 4
-        )
+        # posted: the forwarder is done once the doorbell is on the wire
+        self.adaptor.backend_fabric.cpu_write(self.ssd.doorbell_addr(BACKEND_QID), 4)
 
     # ------------------------------------------------------------ completion
     def on_cq_write(self) -> None:
         """The engine saw a DMA write land in this slot's CQ range."""
-        self.sim.spawn(self._reap(), name="slot.reap")
+        self.sim.timeout(self.adaptor.cqe_relay_ns).callbacks.append(self._reap)
 
-    def _reap(self):
-        yield self.sim.timeout(self.adaptor.cqe_relay_ns)
+    def _reap(self, _ev: Event) -> None:
+        """Step ⑥, ``cqe_relay_ns`` after a CQE landed: hand every
+        posted completion back to its forwarder."""
         while True:
             cqe = self.cq.poll()
             if cqe is None:

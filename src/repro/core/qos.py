@@ -65,12 +65,12 @@ class _NamespaceQoS:
     def over_threshold(self, nbytes: int) -> bool:
         return self.iops_bucket.would_block(1.0) or self.bw_bucket.would_block(nbytes)
 
-    def admit(self, nbytes: int, span=None) -> Event:
-        """Event that fires when the command may proceed."""
+    def admit(self, nbytes: int, span=None) -> Optional[Event]:
+        """Event that fires when the command may proceed, or None when
+        it passes straight through (under threshold)."""
         seq = None
         if self.checks is not None:
             seq = self.checks.on_qos_admit(self, span=span)
-        gate = self.sim.event(name="qos.admit")
         # The dispatcher check closes an overtaking window: after the
         # dispatcher's ``buffer.get()`` succeeds, the buffer is briefly
         # empty while the dequeued command still waits on its token
@@ -89,9 +89,9 @@ class _NamespaceQoS:
                 self._c_passed.inc()
             if self.checks is not None:
                 self.checks.on_qos_grant(self, seq, fast=True, span=span)
-            gate.succeed()
-            return gate
+            return None
         # threshold reached: into the command buffer for rescheduling
+        gate = self.sim.event(name="qos.admit")
         self.buffered_total += 1
         if self.obs is not None:
             self._c_buffered.inc()
@@ -142,17 +142,14 @@ class QoSModule:
         nsq = self._per_ns.get(ns_key)
         return nsq.limits if nsq else None
 
-    def admit(self, ns_key: str, nbytes: int, span=None) -> Event:
-        """Gate a command; fires immediately when QoS is off/unlimited."""
+    def admit(self, ns_key: str, nbytes: int, span=None) -> Optional[Event]:
+        """Gate a command: an event to wait on when it is held, None when
+        it may proceed now (QoS off, unlimited, or under threshold)."""
         if not self.enabled:
-            gate = self.sim.event(name="qos.off")
-            gate.succeed()
-            return gate
+            return None
         nsq = self._per_ns.get(ns_key)
         if nsq is None or nsq.limits.unlimited:
-            gate = self.sim.event(name="qos.unlimited")
-            gate.succeed()
-            return gate
+            return None
         return nsq.admit(nbytes, span=span)
 
     def buffered_total(self, ns_key: str) -> int:

@@ -117,7 +117,6 @@ class NVMeDriver:
         self._io_event_name = name + ".io"
         self._submit_pname = name + ".submit"
         self._iosup_pname = name + ".iosup"
-        self._irq_pname = name + ".irq"
         self._c_submitted: dict[int, Any] = {}
         self._c_interrupts: dict[int, Any] = {}
         self._c_completed: dict[int, Any] = {}
@@ -147,6 +146,8 @@ class NVMeDriver:
         self._qps: dict[int, QueuePair] = {}
         self._slots: dict[int, Resource] = {}
         self._cqe_stores: dict[int, Store] = {}
+        #: per-queue hard-IRQ timer callbacks, built once
+        self._irq_handlers: dict[int, Any] = {}
         self._rr = 0
         #: admin commands in flight (bounded to ADMIN_DEPTH - 1) and the
         #: submitters blocked on a full admin ring, woken FIFO
@@ -188,6 +189,7 @@ class NVMeDriver:
                 self._c_completed[qid] = self.obs.counter(
                     "driver_completed", driver=self.name, qid=q)
         self._cqe_stores[qid] = Store(self.sim, name=f"{self.name}.cqe{qid}")
+        self._irq_handlers[qid] = lambda _ev, q=qid: self._irq_proc(q)
         self.sim.spawn(self._completion_worker(qid), name=f"{self.name}.sirq{qid}")
         return qp
 
@@ -246,7 +248,7 @@ class NVMeDriver:
         at the same page, returned as ``CompletionInfo.data``.
         """
         done = self.sim.event(name=self._io_event_name)
-        self.sim.spawn(self._push_proc(invocation, done),
+        self.sim.start(self._push_proc(invocation, done),
                        name=self._submit_pname)
         return done
 
@@ -258,21 +260,26 @@ class NVMeDriver:
             span.stamp("submit", start)
         yield self.sim.timeout(self.kernel.submit_overhead_ns + self.extra_submit_ns)
         qid = self._pick_queue()
-        yield self._slots[qid].acquire()
+        slots = self._slots[qid]
+        if not slots.try_acquire():
+            yield slots.acquire()
 
         length = PAGE_SIZE  # one page carries the invocation + result
         buf = self._pool.get(length)
         self.host.memory.store_obj(buf, invocation)
         prp1, prp2 = build_prps(self._pool, pages_for(buf, length))
 
-        contended = self._lock.in_use > 0 or self._lock.queued > 0
-        yield self._lock.acquire()
+        lock = self._lock
+        contended = not lock.try_acquire()
+        if contended:
+            yield lock.acquire()
         yield self.sim.timeout(self.contended_lock_ns if contended else self.lock_ns)
         qp = self._qps[qid]
         while qp.sq.is_full:
-            self._lock.release()
+            lock.release()
             yield qp.sq.wait_space(self.sim)
-            yield self._lock.acquire()
+            if not lock.try_acquire():
+                yield lock.acquire()
             yield self.sim.timeout(self.contended_lock_ns)
         cid = self._next_cid[qid] = (self._next_cid[qid] + 1) % 0xFFFF
         sqe = alloc_sqe(
@@ -299,8 +306,8 @@ class NVMeDriver:
         self.stats.submitted += 1
         if self.obs is not None:
             self._c_submitted[qid].inc()
-        self._lock.release()
-        yield from self._ring_doorbell(qid, qp)
+        lock.release()
+        self._ring_doorbell(qid, qp)
 
     # ---------------------------------------------------------------- submit
     def _submit_io(
@@ -313,12 +320,12 @@ class NVMeDriver:
     ) -> Event:
         done = self.sim.event(name=self._io_event_name)
         if self.fault_policy is not None:
-            self.sim.spawn(
+            self.sim.start(
                 self._supervised_proc(opcode, lba, nblocks, payload, want_data, done),
                 name=self._iosup_pname,
             )
         else:
-            self.sim.spawn(
+            self.sim.start(
                 self._submit_proc(opcode, lba, nblocks, payload, want_data, done),
                 name=self._submit_pname,
             )
@@ -350,7 +357,7 @@ class NVMeDriver:
         for attempt in range(attempts):
             handle: dict[str, Any] = {}
             inner = self.sim.event(name=f"{self.name}.attempt")
-            self.sim.spawn(
+            self.sim.start(
                 self._submit_proc(opcode, lba, nblocks, payload, want_data,
                                   inner, handle),
                 name=f"{self.name}.submit",
@@ -433,7 +440,9 @@ class NVMeDriver:
             span.stamp("submit", start)
         yield self.sim.timeout(self.kernel.submit_overhead_ns + self.extra_submit_ns)
         qid = self._pick_queue()
-        yield self._slots[qid].acquire()
+        slots = self._slots[qid]
+        if not slots.try_acquire():
+            yield slots.acquire()
 
         length = nblocks * self.block_bytes if opcode != int(IOOpcode.FLUSH) else 0
         buf = 0
@@ -444,17 +453,20 @@ class NVMeDriver:
                 self.host.memory.mem_write(buf, length, payload)
             prp1, prp2 = build_prps(self._pool, pages_for(buf, length))
 
-        contended = self._lock.in_use > 0 or self._lock.queued > 0
-        yield self._lock.acquire()
+        lock = self._lock
+        contended = not lock.try_acquire()
+        if contended:
+            yield lock.acquire()
         yield self.sim.timeout(self.contended_lock_ns if contended else self.lock_ns)
         qp = self._qps[qid]
         while qp.sq.is_full:
             # timed-out commands release their queue slot before the
             # device fetches their stale SQE, so the ring can be full
             # even with a slot held; block until the consumer frees one
-            self._lock.release()
+            lock.release()
             yield qp.sq.wait_space(self.sim)
-            yield self._lock.acquire()
+            if not lock.try_acquire():
+                yield lock.acquire()
             yield self.sim.timeout(self.contended_lock_ns)
         cid = self._next_cid[qid] = (self._next_cid[qid] + 1) % 0xFFFF
         if handle is not None:
@@ -484,12 +496,13 @@ class NVMeDriver:
         self.stats.submitted += 1
         if self.obs is not None:
             self._c_submitted[qid].inc()
-        self._lock.release()
-        yield from self._ring_doorbell(qid, qp)
+        lock.release()
+        self._ring_doorbell(qid, qp)
 
     # ---------------------------------------------------------------- doorbell
-    def _ring_doorbell(self, qid: int, qp: QueuePair):
-        """Mode-dependent doorbell after a push into ``qp.sq``.
+    def _ring_doorbell(self, qid: int, qp: QueuePair) -> None:
+        """Mode-dependent doorbell after a push into ``qp.sq``.  The
+        MMIO write is posted: the submitter never waits on it.
 
         ``immediate`` is the exact legacy tail: one posted MMIO write
         per command, no extra state touched.
@@ -497,7 +510,7 @@ class NVMeDriver:
         mode = self.policy.doorbell
         if mode == "immediate" or qid == 0:
             self.stats.doorbell_mmio += 1
-            yield self.host.fabric.cpu_write(qp.sq_doorbell, 4)
+            self.host.fabric.cpu_write(qp.sq_doorbell, 4)
             return
         sq = qp.sq
         if mode == "shadow":
@@ -505,38 +518,38 @@ class NVMeDriver:
                 if sq.checks is not None:
                     sq.checks.on_db_flush(sq, 1)
                 self.stats.doorbell_mmio += 1
-                yield self.host.fabric.cpu_write(qp.sq_doorbell, 4)
+                self.host.fabric.cpu_write(qp.sq_doorbell, 4)
             else:
                 self.stats.doorbell_elided += 1
             return
         # batched: accumulate, ring on depth / ring-full / deadline
         self._unrung[qid] += 1
         if self._unrung[qid] >= self.policy.batch_depth or sq.is_full:
-            yield from self._flush_doorbell(qid, qp)
+            self._flush_doorbell(qid, qp)
         else:
             self.stats.doorbell_elided += 1
             if (self.policy.batch_timeout_ns > 0
                     and qid not in self._batch_timer_live):
                 self._batch_timer_live.add(qid)
-                self.sim.spawn(self._batch_deadline(qid),
-                               name=f"{self.name}.dbflush{qid}")
+                self.sim.timeout(self.policy.batch_timeout_ns).callbacks.append(
+                    lambda _ev: self._batch_deadline(qid))
 
-    def _flush_doorbell(self, qid: int, qp: QueuePair):
+    def _flush_doorbell(self, qid: int, qp: QueuePair) -> None:
         batched, self._unrung[qid] = self._unrung[qid], 0
         if batched <= 0:
             return
         if qp.sq.checks is not None:
             qp.sq.checks.on_db_flush(qp.sq, batched)
         self.stats.doorbell_mmio += 1
-        yield self.host.fabric.cpu_write(qp.sq_doorbell, 4)
+        self.host.fabric.cpu_write(qp.sq_doorbell, 4)
 
-    def _batch_deadline(self, qid: int):
+    def _batch_deadline(self, qid: int) -> None:
         """Deterministic flush of a partial doorbell batch, so shallow
-        queues are never stranded waiting for peers that never come."""
-        yield self.sim.timeout(self.policy.batch_timeout_ns)
+        queues are never stranded waiting for peers that never come;
+        runs ``batch_timeout_ns`` after the first unrung push."""
         self._batch_timer_live.discard(qid)
         if self._unrung.get(qid, 0):
-            yield from self._flush_doorbell(qid, self._qps[qid])
+            self._flush_doorbell(qid, self._qps[qid])
 
     # ------------------------------------------------------------- completion
     def _note_reclaims(self, count: int) -> None:
@@ -549,10 +562,12 @@ class NVMeDriver:
         self.stats.interrupts += 1
         if self.obs is not None:
             self._c_interrupts[qid].inc()
-        self.sim.spawn(self._irq_proc(qid), name=self._irq_pname)
+        self.sim.timeout(self.kernel.irq_overhead_ns).callbacks.append(
+            self._irq_handlers[qid])
 
-    def _irq_proc(self, qid: int):
-        yield self.sim.timeout(self.kernel.irq_overhead_ns)
+    def _irq_proc(self, qid: int) -> None:
+        """The hard-IRQ handler, ``irq_overhead_ns`` after the MSI-X:
+        drain the CQ into the softirq's store, ring the CQ head."""
         qp = self._qps[qid]
         drained = 0
         while True:
@@ -562,7 +577,7 @@ class NVMeDriver:
             drained += 1
             self._cqe_stores[qid].post(cqe)
         if drained:
-            yield self.host.fabric.cpu_write(qp.cq_doorbell, 4)
+            self.host.fabric.cpu_write(qp.cq_doorbell, 4)
 
     def _completion_worker(self, qid: int):
         """Per-queue softirq: completions are handled *serially*, so the
@@ -639,7 +654,7 @@ class NVMeDriver:
         payload: Any = None,
     ) -> Event:
         done = self.sim.event(name=f"{self.name}.admin")
-        self.sim.spawn(
+        self.sim.start(
             self._admin_proc(opcode, cdw10, cdw11, prp1, payload, done),
             name=f"{self.name}.adminp",
         )
@@ -669,4 +684,4 @@ class NVMeDriver:
             "span": None, "sqe": None,
         }
         self.stats.submitted += 1
-        yield self.host.fabric.cpu_write(qp.sq_doorbell, 4)
+        self.host.fabric.cpu_write(qp.sq_doorbell, 4)

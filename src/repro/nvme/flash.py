@@ -98,7 +98,8 @@ class FlashBackend:
 
     def read(self, nbytes: int):
         """Process generator: one media read of ``nbytes``."""
-        yield self._read_ways.acquire()
+        if not self._read_ways.try_acquire():
+            yield self._read_ways.acquire()
         try:
             access = self.rng.jitter_ns(self.profile.read_access_ns, self.profile.jitter_cv)
             yield self.sim.timeout(access)
@@ -117,16 +118,18 @@ class FlashBackend:
         gives cache-hit latency; at saturation throughput equals the
         background drain rate (ways over access+bus service).
         """
-        yield self._write_buffer.acquire()
+        if not self._write_buffer.try_acquire():
+            yield self._write_buffer.acquire()
         ack = self.rng.jitter_ns(self.profile.write_ack_ns, self.profile.jitter_cv)
         yield self.sim.timeout(ack)
-        self.sim.spawn(self._drain(nbytes), name=f"{self.name}.drain")
+        self.sim.start(self._drain(nbytes), name=f"{self.name}.drain")
         self.stats.writes += 1
         self.stats.write_bytes += nbytes
 
     def _drain(self, nbytes: int):
         """Background media program for one buffered write."""
-        yield self._write_ways.acquire()
+        if not self._write_ways.try_acquire():
+            yield self._write_ways.acquire()
         try:
             access = self.rng.jitter_ns(self.profile.write_access_ns, self.profile.jitter_cv)
             yield self.sim.timeout(access)

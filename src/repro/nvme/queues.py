@@ -307,10 +307,9 @@ class CQECoalescer:
             return
         if self.cq.coalesce_timeout_ns > 0 and not self._timer_live:
             self._timer_live = True
-            self.sim.spawn(self._timer(), name=f"cq{self.cq.cqid}.coalesce")
+            self.sim.timeout(self.cq.coalesce_timeout_ns).callbacks.append(self._timer)
 
-    def _timer(self):
-        yield self.sim.timeout(self.cq.coalesce_timeout_ns)
+    def _timer(self, _ev) -> None:
         self._timer_live = False
         if self.pending:
             self.pending = 0

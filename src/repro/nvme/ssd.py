@@ -41,6 +41,10 @@ from .spec import (
 
 __all__ = ["NVMeSSD", "SSDStats", "DEFAULT_FIRMWARE"]
 
+
+class _Removed(Exception):
+    """Unwinds an execution whose drive was surprise-removed."""
+
 # controller-internal command decode / scheduling cost
 DECODE_NS = 150
 DOORBELL_REGION_OFFSET = 0x1000
@@ -122,6 +126,9 @@ class NVMeSSD:
         self.checks = None
         # firmware-activation gate
         self._paused = False
+        #: bumped on every surprise removal; an execution started in an
+        #: older era belongs to a drive that has since been pulled
+        self._era = 0
         self._resume_event: Optional[Event] = None
         self._drained_event: Optional[Event] = None
         self.temperature_k = 310  # SMART health data
@@ -167,6 +174,16 @@ class NVMeSSD:
     def queue_ids(self) -> list[int]:
         return sorted(self._queues)
 
+    def on_removed(self) -> None:
+        """The drive was pulled from its slot.  Executions in flight stop
+        at their next DMA and complete nothing: the PRP lists and rings
+        they point at belong to a host that already failed them."""
+        self._era += 1
+
+    def _check_present(self, era: int) -> None:
+        if self._era != era:
+            raise _Removed
+
     # --------------------------------------------------------------- doorbell
     def _on_sq_doorbell(self, qid: int) -> None:
         qp = self._queues.get(qid)
@@ -192,12 +209,15 @@ class NVMeSSD:
         self.stats.inflight += 1
         dropped = False
         tr = qp.translation
+        era = self._era
         try:
             fetch_addr = sqe_addr if tr is None else tr.tag(sqe_addr)
             sqe = yield self.port.mem_read(fetch_addr, SQE_BYTES)
+            self._check_present(era)
             if not isinstance(sqe, SQE):
                 raise SimulationError(f"{self.name}: no SQE at {sqe_addr:#x}")
             yield self.sim.timeout(DECODE_NS)
+            self._check_present(era)
             if (
                 qid != 0
                 and self.faults is not None
@@ -210,21 +230,21 @@ class NVMeSSD:
             elif qid == 0:
                 status, result = yield from self._admin(sqe)
             else:
-                status, result = yield from self._io(sqe, tr)
+                status, result = yield from self._io(sqe, tr, era)
+        except _Removed:
+            # the drive was pulled mid-command: no further DMA, no CQE —
+            # the host side already failed the command (or will time it
+            # out, on a passthrough queue)
+            return
         finally:
             self.stats.inflight -= 1
             self._check_drained()
-        if dropped:
+        if dropped or self._era != era:
             return
         yield from self._complete(qid, qp, sqe, status, result)
 
     def _complete(self, qid: int, qp: QueuePair, sqe: SQE, status: int, result: int):
         tr = qp.translation
-        if tr is not None and not tr.live:
-            # the translation's device was surprise-removed: a dead
-            # drive's TLPs no longer route anywhere, so the CQE never
-            # lands — only the host driver's timeout recovers
-            return
         cqe = alloc_cqe(sqe.cid, status, qp.sq.head, qid, result)
         if status != int(StatusCode.SUCCESS):
             self.stats.errors += 1
@@ -246,7 +266,7 @@ class NVMeSSD:
         return fire
 
     # ------------------------------------------------------------------- I/O
-    def _io(self, sqe: SQE, translation=None):
+    def _io(self, sqe: SQE, translation, era: int):
         ns = self.namespaces.get(sqe.nsid)
         if ns is None:
             return int(StatusCode.INVALID_NAMESPACE), 0
@@ -269,7 +289,7 @@ class NVMeSSD:
         if not ns.contains(slba, nblocks):
             return int(StatusCode.LBA_OUT_OF_RANGE), 0
         length = nblocks * ns.block_bytes
-        pages = yield from self._resolve_prps(sqe, length, translation)
+        pages = yield from self._resolve_prps(sqe, length, translation, era)
 
         if self.faults is not None:
             stall = self.faults.media_stall_ns(self.name, span=span)
@@ -295,7 +315,7 @@ class NVMeSSD:
                 return int(StatusCode.DATA_TRANSFER_ERROR), 0
             yield from self.flash.read(length)
             payload = self._load_blocks(slba, nblocks)
-            yield from self._dma_out(pages, length, payload)
+            yield from self._dma_out(pages, length, payload, era)
             if span is not None:
                 span.stamp("ssd_dma", self.sim.now)
             self.stats.read_ops += 1
@@ -303,7 +323,7 @@ class NVMeSSD:
             return int(StatusCode.SUCCESS), 0
 
         if opcode == int(IOOpcode.WRITE):
-            payload = yield from self._dma_in(pages, length, sqe.payload is not None)
+            payload = yield from self._dma_in(pages, length, sqe.payload is not None, era)
             if sqe.payload is not None:
                 payload = sqe.payload  # authoritative copy from the submitter
             if payload is not None:
@@ -322,7 +342,7 @@ class NVMeSSD:
 
         return int(StatusCode.INVALID_OPCODE), 0
 
-    def _resolve_prps(self, sqe: SQE, length: int, translation=None):
+    def _resolve_prps(self, sqe: SQE, length: int, translation, era: int):
         list_bytes = prp_list_bytes(sqe.prp1, length)
         prp_list = None
         if list_bytes:
@@ -330,6 +350,8 @@ class NVMeSSD:
             if translation is not None:
                 list_addr = translation.tag(list_addr)
             prp_list = yield self.port.mem_read(list_addr, list_bytes)
+            # a list read that straddled a removal may hold a recycled page
+            self._check_present(era)
         pages = walk_prps(sqe.prp1, sqe.prp2, length, prp_list)
         if self.checks is not None:
             self.checks.on_prp_chain(
@@ -342,21 +364,26 @@ class NVMeSSD:
             pages = [translation.tag(p) for p in pages]
         return pages
 
-    def _dma_out(self, pages: list[int], length: int, payload: Optional[bytes]):
+    def _dma_out(self, pages: list[int], length: int, payload: Optional[bytes],
+                 era: int):
         """DMA data toward the PRP pages (device -> memory)."""
         if payload is None:
+            self._check_present(era)
             yield self.port.mem_write(pages[0], length, None)
             return
         for page_addr, offset, chunk in page_spans(pages, length):
+            self._check_present(era)
             yield self.port.mem_write(page_addr, chunk, payload[offset : offset + chunk])
 
-    def _dma_in(self, pages: list[int], length: int, want_data: bool):
+    def _dma_in(self, pages: list[int], length: int, want_data: bool, era: int):
         """DMA data from the PRP pages (memory -> device)."""
         if not want_data:
+            self._check_present(era)
             yield self.port.mem_read(pages[0], length)
             return None
         out = bytearray()
         for page_addr, _, chunk in page_spans(pages, length):
+            self._check_present(era)
             data = yield self.port.mem_read(page_addr, chunk)
             out += data if isinstance(data, (bytes, bytearray)) else bytes(chunk)
         return bytes(out)

@@ -15,6 +15,15 @@ Timing model per transaction:
 * read:           request header on tx, target access time, completion
   payload on the target->initiator path
 
+A transaction schedules its link legs and nothing else.  A read's
+request leg carries the target's access time; a write's last leg is
+its completion (delivery is the leg's first callback), and so is a
+read's completion leg, which resumes the waiter directly.  A leg that
+someone waits on is dispatched as a kernel completion, so the waiter
+continues where a separate completion event would have resumed it.
+Only a peer-to-peer write, whose last leg does not exist yet when the
+caller waits, keeps a separate event.
+
 CPU-initiated MMIO (doorbells, register reads) uses :meth:`cpu_write`
 / :meth:`cpu_read`, which traverse only the target port's rx/tx links.
 """
@@ -41,7 +50,12 @@ class AddressHandler(Protocol):
         ...  # pragma: no cover - protocol
 
     def mem_read(self, addr: int, length: int) -> Optional[bytes]:
-        """Handle a memory read; return bytes or None (elided data)."""
+        """Handle a memory read; return bytes or None (elided data).
+
+        A handler whose data arrives later (the BMS-Engine's DMA router
+        fetches from the *other* PCIe domain) defines instead
+        ``mem_read_async(addr, length, reply)``, which calls
+        ``reply(data)`` when the data is ready, possibly at once."""
         ...  # pragma: no cover - protocol
 
     @property
@@ -144,7 +158,6 @@ class PCIeFabric:
         # allocation churn on the hot path)
         self._wr_name = name + ":wr"
         self._rd_name = name + ":rd"
-        self._cpuwr_name = name + ":cpuwr"
         self._cpurd_name = name + ":cpurd"
 
     # -- topology ----------------------------------------------------------
@@ -202,7 +215,6 @@ class PCIeFabric:
                       data: Optional[bytes], notify: bool) -> Optional[Event]:
         handler, dst_port = self._resolve(addr)
         nbytes = wire_bytes(length)
-        done = self.sim.pooled_event(self._wr_name) if notify else None
 
         def deliver(_ev: Event) -> None:
             handler.mem_write(addr, length, data)
@@ -211,13 +223,19 @@ class PCIeFabric:
 
         leg1 = src.tx.transfer(nbytes)
         if dst_port is None or dst_port is src:
+            # the leg's arrival is the delivery: a waiter waits on the
+            # leg itself, dispatched as a completion
+            done = None
             leg1.callbacks.append(deliver)
-        else:
-            # peer-to-peer: second hop down the destination port
-            def hop(_ev: Event) -> None:
-                dst_port.rx.transfer(nbytes).callbacks.append(deliver)
+            return self.sim.completion(leg1) if notify else None
+        # peer-to-peer: the second hop down the destination port starts
+        # only when the first arrives, so a waiter needs its own event
+        done = self.sim.pooled_event(self._wr_name) if notify else None
 
-            leg1.callbacks.append(hop)
+        def hop(_ev: Event) -> None:
+            dst_port.rx.transfer(nbytes).callbacks.append(deliver)
+
+        leg1.callbacks.append(hop)
         return done
 
     def _routed_read(self, src: Port, addr: int, length: int) -> Event:
@@ -225,79 +243,70 @@ class PCIeFabric:
         done = self.sim.pooled_event(self._rd_name)
         req_bytes = wire_bytes(0)
         cpl_bytes = wire_bytes(length)
+        redirect = self.sim.redirect
 
         def send_completion(value) -> None:
-            def complete(_ev: Event) -> None:
-                done.succeed(value)
-
+            # the completion leg stands in for done: it carries the data
+            # and resumes done's waiters where done would have
             if dst_port is None or dst_port is src:
-                src.rx.transfer(cpl_bytes).callbacks.append(complete)
+                redirect(done, src.rx.transfer(cpl_bytes, value))
             else:
                 def hop(_e: Event) -> None:
-                    src.rx.transfer(cpl_bytes).callbacks.append(complete)
+                    redirect(done, src.rx.transfer(cpl_bytes, value))
 
                 dst_port.tx.transfer(cpl_bytes).callbacks.append(hop)
 
-        def after_access(_ev: Event) -> None:
-            # async handlers (e.g. the BMS-Engine DMA router, which must
-            # fetch from the *other* PCIe domain) return an event; plain
-            # handlers return the data directly
+        def access(_ev: Event) -> None:
+            # the request leg already carried the target's access time
             reader = getattr(handler, "mem_read_async", None)
             if reader is not None:
-                reader(addr, length).callbacks.append(
-                    lambda ev: send_completion(ev.value)
-                )
+                reader(addr, length, send_completion)
             else:
                 send_completion(handler.mem_read(addr, length))
 
-        def after_request(_ev: Event) -> None:
-            self.sim.timeout(handler.access_ns).callbacks.append(after_access)
-
-        leg1 = src.tx.transfer(req_bytes)
         if dst_port is None or dst_port is src:
-            leg1.callbacks.append(after_request)
+            src.tx.transfer(req_bytes, extra_ns=handler.access_ns).callbacks.append(access)
         else:
             def hop_req(_e: Event) -> None:
-                dst_port.rx.transfer(req_bytes).callbacks.append(after_request)
+                dst_port.rx.transfer(
+                    req_bytes, extra_ns=handler.access_ns).callbacks.append(access)
 
-            leg1.callbacks.append(hop_req)
+            src.tx.transfer(req_bytes).callbacks.append(hop_req)
         return done
 
     # -- CPU (root-initiated) transactions ------------------------------------
     def cpu_write(self, addr: int, length: int, data: Optional[bytes] = None) -> Event:
-        """MMIO write from the host CPU (e.g. a doorbell)."""
+        """MMIO write from the host CPU (e.g. a doorbell); the returned
+        event is the write's own leg, firing on delivery."""
         handler, dst_port = self._resolve(addr)
-        nbytes = wire_bytes(length)
-        done = self.sim.pooled_event(self._cpuwr_name)
 
         def deliver(_ev: Event) -> None:
             handler.mem_write(addr, length, data)
-            done.succeed()
 
         if dst_port is None:
             # root-local (DRAM): no link traversal; small access cost
-            self.sim.timeout(handler.access_ns).callbacks.append(deliver)
+            leg = self.sim.timeout(handler.access_ns)
         else:
-            dst_port.rx.transfer(nbytes).callbacks.append(deliver)
-        return done
+            leg = dst_port.rx.transfer(wire_bytes(length))
+        leg.callbacks.append(deliver)
+        return leg
 
     def cpu_read(self, addr: int, length: int) -> Event:
         """MMIO/DRAM read from the host CPU."""
         handler, dst_port = self._resolve(addr)
         done = self.sim.pooled_event(self._cpurd_name)
-
-        def complete(_ev: Event) -> None:
-            done.succeed(handler.mem_read(addr, length))
-
         if dst_port is None:
+            def complete(_ev: Event) -> None:
+                done.succeed(handler.mem_read(addr, length))
+
             self.sim.timeout(handler.access_ns).callbacks.append(complete)
         else:
-            def after_req(_ev: Event) -> None:
-                self.sim.timeout(handler.access_ns).callbacks.append(
-                    lambda _e: dst_port.tx.transfer(wire_bytes(length)).callbacks.append(complete)
-                )
+            def respond(_ev: Event) -> None:
+                self.sim.redirect(done, dst_port.tx.transfer(
+                    wire_bytes(length), handler.mem_read(addr, length)))
 
-            dst_port.rx.transfer(wire_bytes(0)).callbacks.append(after_req)
+            dst_port.rx.transfer(
+                wire_bytes(0), extra_ns=handler.access_ns).callbacks.append(respond)
         return done
 
     # -- vendor-defined messages (MCTP transport) ------------------------------

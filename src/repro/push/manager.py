@@ -192,10 +192,7 @@ class PushManager:
 
         # the vendor command flows through the same pipeline stages as
         # any other I/O before the interpreter takes over
-        yield engine._pipeline.acquire()
-        yield sim.timeout(engine.timings.issue_ns)
-        engine._pipeline.release()
-        yield sim.timeout(engine.timings.pipeline_ns)
+        yield engine.pipeline_stage()
 
         entry = self.programs.get(ens.key)
         if entry is None:
@@ -264,7 +261,9 @@ class PushManager:
             self.checks.on_push_io(self, ens.key, lba, nblocks, span=span)
         if not entry.program.admits(lba, nblocks):
             raise _SandboxEscape(lba, nblocks)
-        yield engine.qos.admit(fn.ns_key, nblocks * LBA_BYTES, span=span)
+        gate = engine.qos.admit(fn.ns_key, nblocks * LBA_BYTES, span=span)
+        if gate is not None:
+            yield gate
         yield engine.sim.timeout(self.costs.hop_ns)
         extents = yield from engine.map_io(ens, opcode, lba, nblocks, span)
         if extents is None:

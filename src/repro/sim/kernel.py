@@ -27,10 +27,50 @@ move any other callback in the dispatch order.
 
 Fast path
 ---------
+**Two phases per instant.**  Every event due at an instant was
+scheduled before it, so the loop dispatches all of them first (heap
+order, the *timer phase*), then everything scheduled during the
+instant (FIFO, the *completion phase*).  A zero-delay completion event
+therefore does real work: the process it resumes continues after every
+timer and link leg of its instant, which decides, for example, which of
+two same-instant transfers a link serializes first.
+
+**No event that only relays.**  An event earns its dispatch when
+something happens at its instant that could not have happened earlier:
+a link leg arrives, a contended server is handed over, a process
+resumes after a delay.  An event whose only job is to hand control to
+the next step is not scheduled, and where the hand-off also placed the
+next step in the completion phase, the step is placed there without
+it.  The primitives:
+
+* :meth:`~repro.sim.resources.Resource.try_acquire` takes a free
+  server with no event; the caller yields ``acquire()`` only when it
+  returns False.  A queued waiter means every server is held, so the
+  FIFO grant order is that of ``acquire`` alone.
+* ``spawn(gen, name, delay=d)`` first resumes the generator at
+  ``now + d``, replacing "spawn, then ``yield timeout(d)`` as the first
+  statement".
+* :meth:`Simulator.start` runs a process's first step inside the
+  caller, with no bootstrap event; an exception in that step still
+  surfaces out of :meth:`Simulator.run`, never into the caller.
+* ``BandwidthLink.transfer(n, extra_ns=a)`` arrives ``a`` ns after the
+  last byte, so a fixed delay after arrival rides the leg's own
+  deadline instead of a second timeout.
+* :meth:`Simulator.completion` marks a pending leg to be dispatched in
+  the completion phase, and :meth:`Simulator.redirect` lets such a leg
+  stand in for a handle already given out.  A DMA's last leg *is* its
+  completion: the waiter resumes from the leg itself, where a
+  completion event fired by the leg would have resumed it.
+
+A bootstrap stays where it orders: the engine's and the drive's
+per-command processes (``_process_cmd``, ``_execute``) start with a
+DMA, and starting them inline in the timer phase would let that DMA
+overtake same-instant transfers.
+
 The per-event cost of this loop is the wall-clock of the whole repo, so
 the dispatch machinery is deliberately flat:
 
-* **Now-bucket**: the majority of schedules are zero-delay (completion
+* **Now-bucket**: many schedules are zero-delay (completion
   deliveries, process bootstraps, replays).  Those bypass the heap
   into a FIFO *bucket for the current instant* holding bare events
   (the sequence number rides on ``event._seq``); only genuinely future
@@ -41,7 +81,8 @@ the dispatch machinery is deliberately flat:
 * **Object pooling**: processed :class:`Timeout` objects (the dominant
   ``yield sim.timeout(d)`` pattern), generic events handed out by
   :meth:`Simulator.pooled_event` / :meth:`Simulator.fired_event`, and
-  fire-and-forget processes started with :meth:`Simulator.spawn` are
+  fire-and-forget processes started with :meth:`Simulator.spawn` or
+  :meth:`Simulator.start` are
   all recycled through per-simulator free lists (a spawned process
   the moment its generator returns), so steady-state dispatch
   allocates nothing.  The pooling invariant: **a pooled object must
@@ -101,7 +142,7 @@ class Event:
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered",
                  "_processed", "_defunct", "_pinned", "_recycle", "_seq",
-                 "name")
+                 "_late", "name")
 
     def __init__(self, sim: "Simulator", name: str = ""):
         self.sim = sim
@@ -113,6 +154,7 @@ class Event:
         self._defunct = False
         self._pinned = False
         self._recycle = 0
+        self._late = False
         self.name = name
 
     # -- state ----------------------------------------------------------
@@ -233,6 +275,7 @@ class Timeout(Event):
         self._defunct = False
         self._pinned = False
         self._recycle = 1
+        self._late = False
         self._delay = delay
         self.name = "Timeout"
         sim._seq = seq = sim._seq + 1
@@ -414,6 +457,11 @@ class AllOf(_Condition):
             self.succeed(self._results())
 
 
+def _reraise(event: Event) -> None:
+    """Callback re-raising a failure out of the dispatch loop."""
+    raise event._value
+
+
 class Simulator:
     """The event loop: a now-bucket FIFO plus a binary heap of future
     events, dispatched in ``(time, seq)`` order.
@@ -449,16 +497,9 @@ class Simulator:
         self.strict = strict
         #: bound CheckContext (kernel checker); None = dormant, zero-cost
         self.checks = None
-
-    # `now` is a plain attribute for speed; `_now` remains as a
-    # compatibility alias for checkers and tests
-    @property
-    def _now(self) -> int:
-        return self.now
-
-    @_now.setter
-    def _now(self, value: int) -> None:
-        self.now = value
+        #: the never-scheduled trigger :meth:`start` resumes a process with
+        self._kick = Event(self, name="start")
+        self._kick._triggered = True
 
     # -- event factories --------------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -513,6 +554,7 @@ class Simulator:
             # state and callbacks is already the empty list
             t._value = value
             t._processed = False
+            t._late = False
             t._delay = delay
             self._seq = seq = self._seq + 1
             if delay == 0:
@@ -529,9 +571,10 @@ class Simulator:
         would be thrown away."""
         return Process(self, generator, name)
 
-    def spawn(self, generator: Generator, name: str = "") -> None:
+    def spawn(self, generator: Generator, name: str = "", delay: int = 0) -> None:
         """Start a fire-and-forget process whose bookkeeping object is
-        recycled when it finishes.
+        recycled when it finishes; its first step runs at
+        ``now + delay``.
 
         Unlike :meth:`process` this returns no handle — by design: with
         no handle, nothing can wait on the process, so it finishes
@@ -539,6 +582,29 @@ class Simulator:
         straight back to a free list.  An uncaught exception inside it
         still propagates out of :meth:`run` on a strict simulator.
         """
+        p = self._pooled_process(generator, name)
+        self.timeout(delay).callbacks.append(p._rcb)
+
+    def start(self, generator: Generator, name: str = "") -> None:
+        """:meth:`spawn` whose first step runs now, inside the caller.
+
+        For a per-command process whose first act schedules something
+        (a DMA, a timed stage): the bootstrap event :meth:`spawn` would
+        dispatch only to relay control to that first act.  An uncaught
+        exception in the first step never reaches the caller; on a
+        strict simulator it is re-raised out of :meth:`run` at the
+        current instant, as a spawned process's would be.
+        """
+        p = self._pooled_process(generator, name)
+        try:
+            p._resume(self._kick)
+        except BaseException as exc:
+            poke = Event(self, name="start-failure")
+            poke.callbacks.append(_reraise)
+            poke.fail(exc)
+
+    def _pooled_process(self, generator: Generator, name: str) -> Process:
+        """A recycled (or fresh) fire-and-forget process, not yet run."""
         pool = self._process_pool
         if pool:
             p = pool.pop()
@@ -553,13 +619,13 @@ class Simulator:
             p._processed = False
             p._defunct = False
             p._pinned = False
+            p._late = False
             p._recycle = 3
             p.name = name
             p._rcb = p._resume
         p._generator = generator
         p._waiting_on = None
-        init = self.timeout(0)
-        init.callbacks.append(p._rcb)
+        return p
 
     def _release_process(self, p: Process) -> None:
         """Return a finished spawned process to the free list."""
@@ -567,6 +633,49 @@ class Simulator:
         pool = self._process_pool
         if len(pool) < _PROCESS_POOL_CAP:
             pool.append(p)
+
+    def completion(self, event: Event) -> Event:
+        """Mark a pending timer or link leg as a *completion* and return
+        it: when due, it is dispatched in the completion phase of its
+        instant (the back of the now-queue), exactly where a zero-delay
+        completion event that it fired would have run.  A process can
+        then wait on the leg itself and resume in the same place."""
+        event._late = True
+        return event
+
+    def redirect(self, event: Event, to: Event) -> None:
+        """Let ``to`` stand in for the untriggered ``event``.
+
+        ``event``'s callbacks move to ``to`` and run when it fires,
+        seeing its value; a process waiting on ``event`` now waits on
+        ``to``, so :meth:`Process.interrupt` still finds it.  A pending
+        timer or link leg ``to`` becomes a :meth:`completion`, so the
+        callbacks run where ``event``, fired by ``to``, would have run
+        them.  ``event`` will never fire and goes back to its free
+        list.  A pinned ``event`` (a condition member, a
+        ``run(until=...)`` target) is read after it fires, so it is
+        relayed instead: it fires with ``to``'s outcome when ``to``
+        does.
+        """
+        if event._pinned:
+            to.callbacks.append(lambda ev: (event.succeed(ev._value) if ev._ok
+                                            else event.fail(ev._value)))
+            return
+        if to._recycle == 1:
+            self.completion(to)
+        callbacks = event.callbacks
+        if callbacks:
+            event.callbacks = []
+            for cb in callbacks:
+                owner = getattr(cb, "__self__", None)
+                if isinstance(owner, Process) and owner._waiting_on is event:
+                    owner._waiting_on = to
+            if to.callbacks:
+                to.callbacks.extend(callbacks)
+            else:
+                to.callbacks = callbacks
+        if event._recycle:
+            self._return_to_pool(event)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
@@ -585,15 +694,29 @@ class Simulator:
             if nowq:
                 if heap and heap[0][0] <= self.now and heap[0][1] < nowq[0]._seq:
                     event = heappop(heap)[2]
+                    if event._late:
+                        self._to_completion_phase(event)
+                        continue
                 else:
                     event = nowq.popleft()
             elif heap:
                 when, _, event = heappop(heap)
                 self.now = when
+                if event._late:
+                    self._to_completion_phase(event)
+                    continue
             else:
                 return None
             if not event._defunct:
                 return event
+
+    def _to_completion_phase(self, event: Event) -> None:
+        """Move a due :meth:`completion` to the back of the now-queue;
+        it is dispatched there, once."""
+        event._late = False
+        self._seq = seq = self._seq + 1
+        event._seq = seq
+        self._nowq.append(event)
 
     def _return_to_pool(self, event: Event) -> None:
         if event._recycle == 1:
@@ -669,6 +792,9 @@ class Simulator:
                 if nowq:
                     if heap and heap[0][0] <= now and heap[0][1] < nowq[0]._seq:
                         event = heappop(heap)[2]
+                        if event._late:
+                            self._to_completion_phase(event)
+                            continue
                     else:
                         event = nowq.popleft()
                 elif heap:
@@ -677,6 +803,9 @@ class Simulator:
                         break
                     event = heappop(heap)[2]
                     self.now = now = when
+                    if event._late:
+                        self._to_completion_phase(event)
+                        continue
                 else:
                     if stop is not None:
                         raise SimulationError(

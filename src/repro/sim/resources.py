@@ -22,7 +22,8 @@ class Resource:
 
     Usage from a process::
 
-        grant = yield resource.acquire()
+        if not resource.try_acquire():
+            yield resource.acquire()
         ...
         resource.release()
     """
@@ -60,6 +61,16 @@ class Resource:
         if elapsed <= 0:
             return 0.0
         return self._busy_area / (elapsed * self.capacity)
+
+    def try_acquire(self) -> bool:
+        """Take a free server now, with no event; False when every
+        server is held.  A queued waiter implies every server is held,
+        so this never overtakes one: grants stay FIFO."""
+        if self._in_use < self.capacity:
+            self._account()
+            self._in_use += 1
+            return True
+        return False
 
     def acquire(self) -> Event:
         # grant events are pooled: callers yield them immediately and
@@ -194,8 +205,10 @@ class BandwidthLink:
             self._ser_cache[nbytes] = ns
         return ns
 
-    def transfer(self, nbytes: int, value: Any = None) -> Event:
-        """Move ``nbytes`` through the link; event fires at arrival time."""
+    def transfer(self, nbytes: int, value: Any = None, extra_ns: int = 0) -> Event:
+        """Move ``nbytes`` through the link; event fires at arrival time
+        plus ``extra_ns`` (a fixed delay after arrival, such as the
+        target's access time, rides the leg's own deadline)."""
         if nbytes < 0:
             raise SimulationError(f"negative transfer size {nbytes}")
         ns = self._ser_cache.get(nbytes)
@@ -209,7 +222,8 @@ class BandwidthLink:
         self._bytes_moved += nbytes
         # pooled timeout: a transfer is exactly "fire at T with value",
         # so it rides the recycled-Timeout fast path
-        return self.sim.timeout(done_serializing + self.propagation_ns - now, value)
+        return self.sim.timeout(
+            done_serializing + self.propagation_ns + extra_ns - now, value)
 
     def busy_until(self) -> int:
         return self._free_at

@@ -223,8 +223,8 @@ def test_kernel_checker_detects_backwards_clock():
     ctx = CheckContext(checkers=["kernel"])
     ctx.bind_sim(sim)
     event = sim.event(name="probe")
-    sim._now = 100
+    sim.now = 100
     ctx.on_event_dispatch(sim, event)
-    sim._now = 50
+    sim.now = 50
     with pytest.raises(InvariantViolation, match="backwards"):
         ctx.on_event_dispatch(sim, event)

@@ -10,7 +10,8 @@ def drain(sim, gates):
     done = []
 
     def waiter(i, gate):
-        yield gate
+        if gate is not None:  # None: admitted with no wait
+            yield gate
         done.append((i, sim.now))
 
     for i, gate in enumerate(gates):

@@ -10,13 +10,20 @@ least one live callback, the triple
 in dispatch order.  A callback of an ``AnyOf``/``AllOf`` that has
 already fired is a no-op and is left out, so a cancelled timer that
 would only have poked a settled condition leaves the digest unchanged.
+Beside each digest sits the exact number of events the scenario
+dispatches, so a change in event count fails here, not only in the
+benchmark's drift check.
 
-The pinned digests were computed with the kernel that still scheduled
-every process completion, MSI-X delivery and store put; any reordering
-of an observable callback, or a lost or added one, changes them.  The
-``rr128-spdk-vm`` digest was computed before the MDev-NVMe model was
-folded into the vhost target as a cost preset, so it pins the SPDK
-dispatch order across that fold.
+The digests were last re-pinned, on purpose, when relay-only events
+left the kernel: fixed delays became timers, free grants continue
+inline (``Resource.try_acquire``), submitter processes start inside
+their caller (``Simulator.start``), and a DMA's last link leg became
+its completion (``Simulator.completion``).  Dropping a dispatch changes
+a digest; per-command simulated times moved only through rare
+same-instant ties, and the hot-remove scenarios also because a
+surprise-removed drive now stops the commands it had already fetched.
+Any later reordering of an observable callback, or a lost or added
+one, changes the digests again.
 """
 
 import hashlib
@@ -62,22 +69,33 @@ class _Tap:
             self.inner.on_event_dispatch(sim, event)
 
 
+class _Fingerprint:
+    """The digest plus the count of events dispatched inside ``run``."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+        self.events = 0
+
+
 @pytest.fixture
 def fingerprint(monkeypatch):
-    """A sha256 fed by every ``Simulator.run`` in the test."""
-    digest = hashlib.sha256()
+    """A sha256 and an event count fed by every ``Simulator.run`` in
+    the test."""
+    fp = _Fingerprint()
     original = Simulator.run
 
     def run(sim, until=None):
         inner = sim.checks
-        sim.checks = _Tap(inner, digest)
+        sim.checks = _Tap(inner, fp.digest)
+        before = sim.events_processed
         try:
             return original(sim, until)
         finally:
             sim.checks = inner
+            fp.events += sim.events_processed - before
 
     monkeypatch.setattr(Simulator, "run", run)
-    return digest
+    return fp
 
 
 def _short(case: str, runtime_ms: int, ramp_ms: int):
@@ -113,25 +131,33 @@ SCENARIOS = {
         "spdk-vm", _short("rand-r-128", 3, 1), seed=7),
 }
 
+#: scenario -> (dispatch-order digest, events dispatched)
 PINNED = {
-    "rr128-bmstore":
-        "e1365cc5a58a06e2bcd8de4a5e9486befbfef1d74bc772a329c40136d40245bf",
-    "rr128-bmstore-hot-remove":
-        "648f633715044d9b02a653c4597fd9ff202bf2bbb8616337e214be77b7a85e5b",
-    "rr128-passthrough":
-        "64967e70f7614865abfc35f128bad133d09135e0491913c62dac3443ed61d6a7",
-    "rr128-passthrough-pt-hot-remove":
-        "fc639397b9db64d331c8c72f7c3365a3680e268693cddcf0ed92d8665cc8bc40",
-    "sw256-bmstore":
-        "4f53d2fb405a5cc6b8c8b45d01621bd70acef2e291d7d348a87ca99c02d83073",
-    "minikv-pushdown":
-        "dab54f4eaf2eaaafaeb70308310a1f1ef566a57827fc205b813f69039b96b748",
-    "rr128-spdk-vm":
-        "fad64d76c41981c08242fa0498fbe12ab41c024338d72bd5b711971d56e86903",
+    "rr128-bmstore": (
+        "f913d90351e6bf8aa6932c2fefd9ad7b0b99db0b35bfb2633490b144a2a4e4b3",
+        96766),
+    "rr128-bmstore-hot-remove": (
+        "eb10ff19615bfc143f57a70e1f0bc1feaec5cdd85c2c97f7e8c051d3f8dd88e9",
+        142680),
+    "rr128-passthrough": (
+        "66c58b7f359535b8b27804d6d34e13607dfc20382f01f5527a685af27b2281fc",
+        81506),
+    "rr128-passthrough-pt-hot-remove": (
+        "98eaa1376a51ae46e6ab1cdc689b90536a7f327102d20c5eac647173281f149c",
+        147612),
+    "sw256-bmstore": (
+        "9914d7727cf66b042e4331187e31c283b7204374be9c9bf34e1df10463d59412",
+        51025),
+    "minikv-pushdown": (
+        "0ab9e6d62a5fe2b632ce97498a62dc6bd1a9c4276afc3ccaca13048e05f2a13c",
+        48658),
+    "rr128-spdk-vm": (
+        "487b11589922057721dc54b0a0c385b89e2f92a581f30ead54720166ab0b22e5",
+        25469),
 }
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_dispatch_order_fingerprint_is_pinned(scenario, fingerprint):
     SCENARIOS[scenario]()
-    assert fingerprint.hexdigest() == PINNED[scenario]
+    assert (fingerprint.digest.hexdigest(), fingerprint.events) == PINNED[scenario]
