@@ -28,6 +28,7 @@ from ..pcie.tlp import VendorDefinedMessage
 from ..sim import Event, SimulationError, Simulator
 from ..sim.units import ms, sec
 from .engine import BMSEngine
+from .hooks import run_handler
 from .qos import QoSLimits
 from .target_controller import AdminRequest
 
@@ -153,17 +154,9 @@ class BMSController:
                 return MIStatus.UNSUPPORTED, {"error": "no metrics registry attached"}
             return MIStatus.SUCCESS, body
         if op == int(MIOpcode.CREATE_NAMESPACE):
-            limits = None
-            if "max_iops" in p or "max_mbps" in p:
-                limits = QoSLimits(
-                    max_iops=p.get("max_iops"),
-                    max_bytes_per_sec=(
-                        p["max_mbps"] * 1e6 if p.get("max_mbps") else None
-                    ),
-                )
             self.engine.create_namespace(
                 p["key"], int(p["size_bytes"]), placement=p.get("placement"),
-                limits=limits,
+                limits=QoSLimits.from_mi_params(p),
             )
             return MIStatus.SUCCESS, {"key": p["key"]}
         if op == int(MIOpcode.DELETE_NAMESPACE):
@@ -176,15 +169,7 @@ class BMSController:
             self.engine.unbind_namespace(p["key"])
             return MIStatus.SUCCESS, {}
         if op == int(MIOpcode.SET_QOS):
-            self.engine.qos.configure(
-                p["key"],
-                QoSLimits(
-                    max_iops=p.get("max_iops"),
-                    max_bytes_per_sec=(
-                        p["max_mbps"] * 1e6 if p.get("max_mbps") else None
-                    ),
-                ),
-            )
+            self.engine.qos.configure(p["key"], QoSLimits.from_mi_params(p) or QoSLimits())
             return MIStatus.SUCCESS, {}
         if op == int(MIOpcode.FIRMWARE_HOT_UPGRADE):
             image = FirmwareImage(
@@ -208,54 +193,6 @@ class BMSController:
             return MIStatus.SUCCESS, {
                 "reports": [_report_body(r) for r in self.upgrade_reports]
             }
-        if op == int(MIOpcode.CREATE_SNAPSHOT):
-            vm = self.engine.volume_manager()
-            body = vm.create_snapshot(p["volume"], p["snapshot"])
-            return MIStatus.SUCCESS, body
-        if op == int(MIOpcode.CLONE_VOLUME):
-            vm = self.engine.volume_manager()
-            ens = vm.clone_volume(p["source"], p["key"])
-            # provisioning is metadata-only: O(chunks) table writes on
-            # the ARM core, never a data copy
-            yield self.sim.timeout(vm.clone_cost_ns(len(ens.chunks)))
-            if "max_iops" in p or "max_mbps" in p:
-                self.engine.qos.configure(
-                    p["key"],
-                    QoSLimits(
-                        max_iops=p.get("max_iops"),
-                        max_bytes_per_sec=(
-                            p["max_mbps"] * 1e6 if p.get("max_mbps") else None
-                        ),
-                    ),
-                )
-            if p.get("fn") is not None:
-                self.engine.bind_namespace(p["key"], int(p["fn"]))
-            return MIStatus.SUCCESS, vm.volume_stat(p["key"])
-        if op == int(MIOpcode.VOLUME_STAT):
-            vm = self.engine.volume_manager()
-            if p.get("key") is not None:
-                return MIStatus.SUCCESS, vm.volume_stat(p["key"])
-            return MIStatus.SUCCESS, {"volumes": vm.stat_all()}
-        if op == int(MIOpcode.PUSH_INSTALL):
-            pm = self.engine.push_manager()
-            body = pm.install(p["key"], p["program"])
-            return MIStatus.SUCCESS, body
-        if op == int(MIOpcode.PUSH_UNINSTALL):
-            pm = self.engine.push_manager()
-            return MIStatus.SUCCESS, pm.uninstall(p["key"])
-        if op == int(MIOpcode.PUSH_STAT):
-            pm = self.engine.push_manager()
-            if p.get("key") is not None:
-                return MIStatus.SUCCESS, pm.stat(p["key"])
-            return MIStatus.SUCCESS, {"programs": pm.stat_all()}
-        if op == int(MIOpcode.CXL_ENABLE):
-            tier = self.engine.cxl_tier()
-            return MIStatus.SUCCESS, tier.stat()
-        if op == int(MIOpcode.CXL_STAT):
-            tier = self.engine.cxl
-            if tier is None:
-                return MIStatus.UNSUPPORTED, {"error": "CXL buffer tier is dormant"}
-            return MIStatus.SUCCESS, tier.stat()
         if op == int(MIOpcode.GET_FAULT_LOG):
             yield self.sim.timeout(self.engine.timings.monitor_sample_ns)
             slots = [
@@ -271,6 +208,9 @@ class BMSController:
                 "slots": slots,
                 "recoveries": self.recoveries,
             }
+        handler = self.engine.hooks.opcodes["mi"].get(op)
+        if handler is not None:
+            return (yield from run_handler(handler, p))
         return MIStatus.UNSUPPORTED, {}
 
     # ------------------------------------------------------------- I/O monitor
@@ -360,9 +300,9 @@ class BMSController:
 
         # phase 2: quiesce — pause forwarding, drain in-flight, store context
         pause_t0 = self.sim.now
-        self.engine.pause_backend(ssd_id)
-        yield self.engine.drain_backend(ssd_id)
-        context = self.engine.store_io_context(ssd_id)
+        slot.pause()
+        yield slot.drain()
+        context = slot.io_context()
         yield self.sim.timeout(self.timings.upgrade_pre_ns)
 
         # phase 3: commit + activate (the drive resets internally)
@@ -375,9 +315,9 @@ class BMSController:
 
         # phase 4: reload context and resume tenant I/O
         yield self.sim.timeout(self.timings.upgrade_post_ns)
-        reloaded = self.engine.store_io_context(ssd_id)
+        reloaded = slot.io_context()
         assert reloaded["sq_tail"] == context["sq_tail"]
-        self.engine.resume_backend(ssd_id)
+        slot.resume()
         pause_t1 = self.sim.now
 
         report.ok = status == int(StatusCode.SUCCESS)
@@ -409,13 +349,13 @@ class BMSController:
             key: ens.bound_fn for key, ens in self.engine.namespaces.items()
         }
         pause_t0 = self.sim.now
-        self.engine.pause_backend(ssd_id)
-        yield self.engine.drain_backend(ssd_id)
+        slot.pause()
+        yield slot.drain()
         yield self.sim.timeout(self.timings.hotplug_pre_ns)
         slot.detach_ssd()
         slot.attach_ssd(new_ssd)
         yield self.sim.timeout(self.timings.hotplug_post_ns)
-        self.engine.resume_backend(ssd_id)
+        slot.resume()
         report.io_pause_ns = self.sim.now - pause_t0
         # transparency check: the tenant's logical drives never changed
         bound_after = {
@@ -464,11 +404,11 @@ class BMSController:
         report = HotPlugReport(ssd_id=ssd_id)
         slot = self.engine.adaptor.slot_for(ssd_id)
         pause_t0 = self.sim.now
-        self.engine.pause_backend(ssd_id)
+        slot.pause()
         yield self.sim.timeout(self.timings.hotplug_pre_ns)
         slot.attach_ssd(new_ssd)
         yield self.sim.timeout(self.timings.hotplug_post_ns)
-        self.engine.resume_backend(ssd_id)
+        slot.resume()
         report.io_pause_ns = self.sim.now - pause_t0
         report.ok = True
         self.hotplug_reports.append(report)

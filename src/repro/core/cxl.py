@@ -19,9 +19,10 @@ two escape hatches the fixed-card design leaves on the table:
   revocable — returned voluntarily as pressure subsides, and revoked
   forcibly when the lending slot is surprise hot-removed.
 
-Everything here is dormant by default: ``engine.cxl is None`` keeps
-every existing run byte-identical (one pointer test on the hot path),
-pinned by test.
+Armed by :meth:`BMSEngine.cxl_tier` (or NVMe-MI ``CXL_ENABLE``), the
+tier attaches through the engine hooks listed in ``core/hooks.py`` and
+as the ``tier`` of the engine's PRP buffer pool, which serves spills
+and window reads through it.
 
 Spill/promote policy (deterministic by construction):
 
@@ -45,6 +46,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..host.memory import HostMemory
+from ..mgmt.nvme_mi import MIOpcode, MIStatus
 from ..sim import Event, SimulationError, Simulator
 from ..sim.resources import BandwidthLink
 from ..sim.units import MIB
@@ -128,12 +130,6 @@ class SharePool:
             self._lent[ssd_id] = 0
         return mem
 
-    def _slot_attached(self, ssd_id: int) -> bool:
-        slots = self.engine.adaptor.slots
-        if ssd_id >= len(slots):
-            return False
-        return getattr(slots[ssd_id], "ssd", None) is not None
-
     @property
     def lent_bytes(self) -> int:
         return sum(g.nbytes for g in self.grants.values())
@@ -148,7 +144,7 @@ class SharePool:
         bound = int(self.timings.slot_buffer_bytes
                     * self.timings.max_lend_fraction)
         for ssd_id in range(len(self.engine.adaptor.slots)):
-            if not self._slot_attached(ssd_id):
+            if self.engine.adaptor.drive(ssd_id) is None:
                 continue
             mem = self._slot_memory(ssd_id)
             if self._lent[ssd_id] + nbytes > bound:
@@ -235,6 +231,12 @@ class CXLBufferTier:
             self._c_spills = obs.counter("cxl_spills", engine=engine.name)
             self._g_hit = obs.gauge("cxl_hit_ratio", engine=engine.name)
             self._g_borrowed = obs.gauge("borrowed_bytes", engine=engine.name)
+        engine._prp_pool.tier = self
+        # the drive's DRAM leaves with it: its borrow grants die once
+        # the slot has failed its commands
+        engine.hooks.slot_removal.append((None, self.on_slot_removed))
+        engine.hooks.opcodes["mi"].update(
+            {MIOpcode.CXL_ENABLE: self._mi_stat, MIOpcode.CXL_STAT: self._mi_stat})
 
     # ------------------------------------------------------------ geometry
     def contains(self, addr: int) -> bool:
@@ -329,7 +331,7 @@ class CXLBufferTier:
             self._g_borrowed.set(self.borrowed_bytes)
 
     # ----------------------------------------------------------- revocation
-    def on_slot_removed(self, ssd_id: int) -> None:
+    def on_slot_removed(self, ssd_id: int, removed=None) -> None:
         """Surprise hot-removal of a lender: its grants die immediately.
 
         Granted addresses still sitting in the pool's free buckets are
@@ -357,6 +359,9 @@ class CXLBufferTier:
         self.link.transfer(length, extra_ns=mem.access_ns).callbacks.append(land)
 
     # ------------------------------------------------------------------ stats
+    def _mi_stat(self, _params: dict):
+        return MIStatus.SUCCESS, self.stat()
+
     def stat(self) -> dict:
         """JSON-able tier statistics (NVMe-MI ``CXL_STAT`` body)."""
         return {

@@ -25,7 +25,7 @@ from typing import Optional
 
 from ..host.environment import Host
 from ..host.memory import BufferPool, HostMemory
-from ..nvme.command import CQE, SQE, alloc_cqe, alloc_sqe
+from ..nvme.command import SQE, alloc_cqe, alloc_sqe
 from ..nvme.namespace import Namespace
 from ..nvme.prp import build_prps, prp_list_bytes, release_prps, walk_prps
 from ..nvme.spec import CQE_BYTES, LBA_BYTES, SQE_BYTES, IOOpcode, StatusCode
@@ -37,19 +37,19 @@ from .axi import AXIBus
 from .dma_routing import (
     DMA_MODELS,
     DescriptorRingDMA,
-    DMATranslation,
     RouteStats,
     decode_global_prp,
     encode_global_prp,
     is_global_prp,
 )
+from .hooks import EngineHooks, run_handler
 from .host_adaptor import BackendSlot, HostAdaptor
 from .lba_mapping import CHUNK_BYTES, MappingEntry, MappingTable
 from .qos import QoSLimits, QoSModule
 from .sriov_layer import FrontEndFunction, SRIOVLayer
 from .target_controller import TargetController
 
-__all__ = ["EngineTimings", "EngineNamespace", "PassthroughBinding", "BMSEngine"]
+__all__ = ["EngineTimings", "EngineNamespace", "BMSEngine"]
 
 
 @dataclass(frozen=True)
@@ -81,31 +81,6 @@ class EngineNamespace:
     bound_fn: Optional[int] = None
     #: step-⑤ routing machinery for this namespace's DMA traffic
     dma_model: str = "register"
-    #: host-chunk indices written since the last pre-copy round; None =
-    #: dormant (no migration in progress — one attribute test per write)
-    dirty_chunks: Optional[set] = None
-
-
-@dataclass
-class PassthroughBinding:
-    """One function's I/O queues mapped straight onto a back-end SSD.
-
-    The engine stops interposing on the data path: front doorbells are
-    relayed to the device, which fetches guest SQEs and posts CQEs into
-    the guest rings itself via the shared :class:`DMATranslation`.
-    Only the admin queue (qid 0) stays on the mediated target-
-    controller path.
-    """
-
-    ens: EngineNamespace
-    ssd_id: int
-    translation: DMATranslation
-    #: host qid -> device-side qid
-    dev_qids: dict[int, int] = None
-
-    def __post_init__(self) -> None:
-        if self.dev_qids is None:
-            self.dev_qids = {}
 
 
 @dataclass
@@ -150,12 +125,7 @@ class _BackendRootSpace:
             self.engine._route_dma_read(addr, length).callbacks.append(
                 lambda ev: reply(ev._value))
             return
-        cxl = self.engine.cxl
-        if cxl is not None and cxl.contains(addr):
-            # tier-resident PRP list: pay the CXL link + media latency
-            cxl.window_read(addr, length, reply)
-            return
-        reply(self.engine.chip_memory.mem_read(addr, length))
+        self.engine._prp_pool.read_async(addr, length, reply)
 
 
 class BMSEngine:
@@ -201,12 +171,14 @@ class BMSEngine:
         self.faults = None
         #: bound CheckContext (prp checker arms this); None = dormant
         self.checks = None
-        #: bound VolumeManager (CoW clones/snapshots); None = dormant
+        #: the optional features, each None until its armer runs; armed,
+        #: they attach through ``self.hooks`` (core/hooks.py)
         self.volumes = None
-        #: bound PushManager (computational pushdown); None = dormant
         self.push = None
-        #: bound CXLBufferTier (buffer spill/borrow extension); None = dormant
         self.cxl = None
+        self.passthrough = None
+        self.hooks = EngineHooks(self)
+        self._io_ops = self.hooks.opcodes["io"]
         #: the full CheckContext, kept for binding tables/rings created later
         self._check_ctx = checks
 
@@ -247,8 +219,6 @@ class BMSEngine:
         #: when the pipeline's one issue slot next frees (step ② entry)
         self._issue_free_at = 0
         self._fn_stats: dict[int, _FnStats] = {}
-        #: fn_id -> PassthroughBinding for functions in passthrough mode
-        self._passthrough: dict[int, PassthroughBinding] = {}
         #: fn_id -> "descriptor" for namespaces on the ring-DMA model
         #: (absent = the default register-triggered cut-through FSM)
         self._dma_model_by_fn: dict[int, str] = {}
@@ -305,44 +275,41 @@ class BMSEngine:
     def num_ssds(self) -> int:
         return len(self.adaptor.slots)
 
-    # ---------------------------------------------------------- namespaces
+    # ------------------------------------------------------ optional features
+    def _arm(self, attr: str, factory, *args):
+        """The armers' one body: build the feature on first use.  Its
+        constructor registers its hooks and opcodes (core/hooks.py)."""
+        feature = getattr(self, attr)
+        if feature is None:
+            feature = factory(self, *args)
+            setattr(self, attr, feature)
+        return feature
+
     def volume_manager(self):
-        """The engine's CoW volume layer, armed on first use.
+        """The CoW volume layer (core/volumes.py), armed on first use."""
+        from .volumes import VolumeManager
 
-        Worlds that never call this keep ``self.volumes is None`` and
-        execute byte-identical event sequences to pre-volume builds.
-        """
-        if self.volumes is None:
-            from .volumes import VolumeManager
-
-            self.volumes = VolumeManager(self)
-        return self.volumes
+        return self._arm("volumes", VolumeManager)
 
     def push_manager(self):
-        """The engine's pushdown program layer, armed on first use.
+        """The pushdown program layer (push/), armed on first use."""
+        from ..push import PushManager
 
-        Worlds that never call this keep ``self.push is None`` and
-        execute byte-identical event sequences to pre-pushdown builds.
-        """
-        if self.push is None:
-            from ..push import PushManager
-
-            self.push = PushManager(self)
-        return self.push
+        return self._arm("push", PushManager)
 
     def cxl_tier(self, timings=None):
-        """The engine's CXL-extended buffer tier, armed on first use.
+        """The CXL-extended buffer tier (core/cxl.py), armed on first use."""
+        from .cxl import CXLBufferTier
 
-        Worlds that never call this keep ``self.cxl is None`` and
-        execute byte-identical event sequences to fixed-DRAM builds.
-        """
-        if self.cxl is None:
-            from .cxl import CXLBufferTier
+        return self._arm("cxl", CXLBufferTier, timings)
 
-            self.cxl = CXLBufferTier(self, timings)
-            self._prp_pool.tier = self.cxl
-        return self.cxl
+    def passthrough_mode(self):
+        """I/O-queue passthrough (core/passthrough.py), armed on first use."""
+        from .passthrough import Passthrough
 
+        return self._arm("passthrough", Passthrough)
+
+    # ---------------------------------------------------------- namespaces
     def create_namespace(
         self,
         key: str,
@@ -356,46 +323,49 @@ class BMSEngine:
         if self.num_ssds == 0:
             raise SimulationError("no back-end SSDs attached")
         nchunks = -(-size_bytes // self.chunk_bytes)
-        rows = -(-nchunks // 8)
-        table = MappingTable(self.chunk_blocks, rows=max(1, rows))
-        if self._check_ctx is not None:
-            self._check_ctx.bind_table(table)
         order = placement or [i % self.num_ssds for i in range(nchunks)]
         if len(order) != nchunks:
             raise SimulationError("placement list must cover every chunk")
         chunks: list[tuple[int, int]] = []
-        for idx, ssd_id in enumerate(order):
+        for ssd_id in order:
             free = self._free_chunks[ssd_id]
             if not free:
                 for taken_ssd, taken_chunk in chunks:  # roll back
                     self._free_chunks[taken_ssd].append(taken_chunk)
                 raise SimulationError(f"SSD {ssd_id} out of free chunks")
-            chunk = free.pop(0)
-            chunks.append((ssd_id, chunk))
-            table.set_entry(idx, MappingEntry(base_chunk=chunk, ssd_id=ssd_id))
-        ns = Namespace(nsid=1, num_blocks=size_bytes // LBA_BYTES)
-        ens = EngineNamespace(key=key, namespace=ns, table=table, chunks=chunks)
-        self.namespaces[key] = ens
+            chunks.append((ssd_id, free.pop(0)))
+        ens = self.add_namespace(key, chunks, size_bytes // LBA_BYTES)
         if limits is not None:
             self.qos.configure(key, limits)
-        if self.volumes is not None:
-            self.volumes.adopt(key)
+        for hook in self.hooks.ns_create:
+            hook(ens)
+        return ens
+
+    def add_namespace(self, key: str, chunks: list, num_blocks: int) -> EngineNamespace:
+        """Register namespace ``key`` over the given physical chunks: a
+        fresh mapping table with one entry per chunk."""
+        table = MappingTable(self.chunk_blocks, rows=max(1, -(-len(chunks) // 8)))
+        if self._check_ctx is not None:
+            self._check_ctx.bind_table(table)
+        for idx, (ssd_id, chunk) in enumerate(chunks):
+            table.set_entry(idx, MappingEntry(base_chunk=chunk, ssd_id=ssd_id))
+        ns = Namespace(nsid=1, num_blocks=num_blocks)
+        ens = self.namespaces[key] = EngineNamespace(key, ns, table, chunks)
         return ens
 
     def delete_namespace(self, key: str) -> None:
-        ens = self.namespaces.pop(key, None)
+        """Tear a namespace down, with its QoS limits and whatever the
+        teardown hooks keep per key.  Commands it still holds (in the
+        QoS buffer, at a drive) drain on their own."""
+        ens = self.namespaces.get(key)
         if ens is None:
             raise SimulationError(f"no namespace {key}")
-        if ens.bound_fn is not None:
-            self.disable_passthrough(ens.bound_fn)
-            self._dma_model_by_fn.pop(ens.bound_fn, None)
-            self.sriov.function_by_id(ens.bound_fn).namespaces.pop(1, None)
-            self.sriov.function_by_id(ens.bound_fn).ns_key = None
-        if self.volumes is not None:
-            # chunks still referenced by a snapshot or clone stay allocated
-            freeable = self.volumes.release_namespace(key, ens)
-        else:
-            freeable = ens.chunks
+        self.unbind_namespace(key)
+        del self.namespaces[key]
+        self.qos.forget(key)
+        freeable = list(ens.chunks)
+        for hook in self.hooks.ns_teardown:
+            hook(ens, freeable)
         for ssd_id, chunk in freeable:
             self._free_chunks[ssd_id].append(chunk)
 
@@ -419,11 +389,8 @@ class BMSEngine:
         ens = self.namespaces.get(key)
         if ens is None or ens.bound_fn is None:
             return
-        self.disable_passthrough(ens.bound_fn)
         self._dma_model_by_fn.pop(ens.bound_fn, None)
-        fn = self.sriov.function_by_id(ens.bound_fn)
-        fn.namespaces.pop(1, None)
-        fn.ns_key = None
+        self.sriov.function_by_id(ens.bound_fn).unbind()
         ens.bound_fn = None
 
     def set_dma_model(self, key: str, model: str) -> None:
@@ -440,138 +407,6 @@ class BMSEngine:
             else:
                 self._dma_model_by_fn.pop(ens.bound_fn, None)
 
-    # --------------------------------------------------------- passthrough
-    #: device-side qids for passthrough-mapped host queues sit above the
-    #: adaptor's own queues (BACKEND_QID=1) so the two never collide
-    PASSTHROUGH_QID_BASE = 16
-
-    def enable_passthrough(self, key: str) -> PassthroughBinding:
-        """Map the bound function's I/O queues straight onto the SSD.
-
-        Requires the namespace to live on exactly one back-end drive as
-        one contiguous ascending physical extent, because the device
-        then translates LBAs with a single constant offset — there is
-        no per-command mapping stage left to scatter extents.
-        """
-        ens = self.namespaces.get(key)
-        if ens is None:
-            raise SimulationError(f"no namespace {key}")
-        if ens.bound_fn is None:
-            raise SimulationError(
-                f"namespace {key} must be bound to a function before passthrough"
-            )
-        fn_id = ens.bound_fn
-        if fn_id in self._passthrough:
-            raise SimulationError(f"function {fn_id} already in passthrough mode")
-        ssd_ids = {ssd_id for ssd_id, _ in ens.chunks}
-        if len(ssd_ids) != 1:
-            raise SimulationError(
-                f"passthrough requires a single-SSD namespace; {key} spans "
-                f"SSDs {sorted(ssd_ids)}"
-            )
-        ssd_id = ssd_ids.pop()
-        base_chunk = ens.chunks[0][1]
-        for i, (_, chunk) in enumerate(ens.chunks):
-            if chunk != base_chunk + i:
-                raise SimulationError(
-                    f"passthrough requires one contiguous physical extent; "
-                    f"{key} is fragmented on SSD {ssd_id}"
-                )
-        fn = self.sriov.function_by_id(fn_id)
-        translation = DMATranslation(
-            fn_id=fn_id,
-            lba_offset=base_chunk * self.chunk_blocks,
-            num_blocks=ens.namespace.num_blocks,
-            raise_vector=self._make_vector_raiser(fn),
-        )
-        binding = PassthroughBinding(ens=ens, ssd_id=ssd_id, translation=translation)
-        self._passthrough[fn_id] = binding
-        fn.passthrough = binding
-        # queues attached before enabling get mapped retroactively
-        for qid, qp in sorted(fn.queue_pairs.items()):
-            if qid != 0:
-                self.passthrough_map_queue(fn, qid, qp)
-        return binding
-
-    def disable_passthrough(self, fn_id: int) -> None:
-        binding = self._passthrough.pop(fn_id, None)
-        if binding is None:
-            return
-        fn = self.sriov.functions.get(fn_id)
-        if fn is not None:
-            fn.passthrough = None
-        slot = self.adaptor.slot_for(binding.ssd_id)
-        ssd = getattr(slot, "ssd", None)
-        if ssd is not None:
-            for dev_qid in binding.dev_qids.values():
-                ssd.detach_queue_pair(dev_qid)
-        binding.dev_qids.clear()
-
-    def _make_vector_raiser(self, fn: FrontEndFunction):
-        def raise_vector(vector: int) -> None:
-            fn.function.msix.post_vector(self.front_port, vector)
-
-        return raise_vector
-
-    def passthrough_map_queue(self, fn: FrontEndFunction, qid: int, qp) -> None:
-        """Attach a host SQ/CQ pair to the backing SSD (shared rings)."""
-        binding = self._passthrough.get(fn.fn_id)
-        if binding is None or qid == 0:
-            return
-        dev_qid = self.PASSTHROUGH_QID_BASE + qid
-        binding.dev_qids[qid] = dev_qid
-        slot = self.adaptor.slot_for(binding.ssd_id)
-        ssd = getattr(slot, "ssd", None)
-        if ssd is not None:
-            dev_qp = ssd.attach_queue_pair(dev_qid, qp.sq, qp.cq)
-            dev_qp.translation = binding.translation
-
-    def passthrough_unmap_queue(self, fn: FrontEndFunction, qid: int) -> None:
-        binding = self._passthrough.get(fn.fn_id)
-        if binding is None:
-            return
-        dev_qid = binding.dev_qids.pop(qid, None)
-        if dev_qid is None:
-            return
-        slot = self.adaptor.slot_for(binding.ssd_id)
-        ssd = getattr(slot, "ssd", None)
-        if ssd is not None:
-            ssd.detach_queue_pair(dev_qid)
-
-    def on_slot_attached(self, ssd_id: int) -> None:
-        """A replacement drive landed in a slot: re-map any passthrough
-        queues onto it with a fresh (live) translation and kick its
-        doorbells so SQEs submitted while the slot was empty get
-        fetched instead of waiting for the next host submission."""
-        slot = self.adaptor.slot_for(ssd_id)
-        ssd = getattr(slot, "ssd", None)
-        if ssd is None:
-            return
-        for fn_id in sorted(self._passthrough):
-            binding = self._passthrough[fn_id]
-            if binding.ssd_id != ssd_id:
-                continue
-            old = binding.translation
-            binding.translation = DMATranslation(
-                fn_id=fn_id, lba_offset=old.lba_offset,
-                num_blocks=old.num_blocks, raise_vector=old.raise_vector,
-            )
-            fn = self.sriov.functions.get(fn_id)
-            if fn is None:
-                continue
-            for host_qid in sorted(binding.dev_qids):
-                qp = fn.queue_pairs.get(host_qid)
-                if qp is None:
-                    continue
-                dev_qid = binding.dev_qids[host_qid]
-                dev_qp = ssd.attach_queue_pair(dev_qid, qp.sq, qp.cq)
-                dev_qp.translation = binding.translation
-                # slots the old drive consumed before it was yanked are
-                # provably dead; recover their leaked (timed-out) SQEs
-                # before the replay kick fetches the live window
-                qp.sq.reclaim_dead_slots()
-                ssd._on_sq_doorbell(dev_qid)
-
     # ------------------------------------------------------------ front path
     def on_front_doorbell(self, fn_id: int, qid: int) -> None:
         fn = self.sriov.functions.get(fn_id)
@@ -581,27 +416,10 @@ class BMSEngine:
         if qp is None:
             return
         if qid != 0 and fn.passthrough is not None:
-            # passthrough: no SQE fetch, no pipeline — just relay the
-            # doorbell to the mapped device queue after a fixed delay
-            self.sim.timeout(self.timings.passthrough_db_ns).callbacks.append(
-                lambda _ev: self._passthrough_db(fn, qid))
+            fn.passthrough.ring(qid)  # the drive fetches guest SQEs itself
             return
         self.sim.spawn(self._fetch_loop(fn, qid, qp), name=self._fetch_pname,
                        delay=self.timings.doorbell_ns)
-
-    def _passthrough_db(self, fn: FrontEndFunction, qid: int) -> None:
-        binding = self._passthrough.get(fn.fn_id)
-        if binding is None:
-            return
-        dev_qid = binding.dev_qids.get(qid)
-        if dev_qid is None:
-            return
-        ssd = getattr(self.adaptor.slot_for(binding.ssd_id), "ssd", None)
-        if ssd is None:
-            # drive yanked: the doorbell write is lost; the host
-            # driver's command timeout is the only recovery path
-            return
-        ssd._on_sq_doorbell(dev_qid)
 
     def _fetch_loop(self, fn: FrontEndFunction, qid: int, qp):
         """Step ①, from ``doorbell_ns`` after the front doorbell: one
@@ -641,14 +459,11 @@ class BMSEngine:
             yield from self._handle_flush(fn, qid, sqe, ens)
             return
 
-        # vendor pushdown command: hand the whole I/O to the interpreter
-        if sqe.opcode == int(IOOpcode.PUSH_EXEC):
-            if self.push is None:
-                self.post_front_cqe(fn, qid, sqe.cid,
-                                    int(StatusCode.INVALID_OPCODE), 0,
-                                    span=sqe.span)
-                return
-            yield from self.push.execute(fn, qid, sqe, ens)
+        # vendor I/O opcode: its handler owns the command
+        handler = self._io_ops.get(sqe.opcode)
+        if handler is not None:
+            status = yield from run_handler(handler, fn, qid, sqe, ens)
+            self.post_front_cqe(fn, qid, sqe.cid, int(status), 0, span=sqe.span)
             return
 
         nblocks = sqe.num_blocks
@@ -740,16 +555,12 @@ class BMSEngine:
         or ``None`` when the range falls outside the namespace.  Host
         commands and pushdown hops both map through here.
         """
-        if opcode == int(IOOpcode.WRITE):
-            # CoW: a write to a shared chunk faults (allocate, copy,
-            # remap, decref parent) *before* translation sees the entry
-            if self.volumes is not None:
-                yield from self.volumes.on_write(ens, slba, nblocks, span=span)
-            # live migration: feed the dirty-chunk bitmap
-            if ens.dirty_chunks is not None:
-                cs = ens.table.chunk_blocks
-                ens.dirty_chunks.update(
-                    range(slba // cs, (slba + nblocks - 1) // cs + 1))
+        write_hooks = self.hooks.write
+        if write_hooks and opcode == int(IOOpcode.WRITE):
+            for hook in write_hooks:
+                fault = hook(ens, slba, nblocks, span)
+                if fault is not None:
+                    yield from fault
         try:
             extents = ens.table.translate_extent(slba, nblocks)
         except SimulationError as exc:
@@ -989,38 +800,17 @@ class BMSEngine:
                 self.axi.register_read(base + off, reader(fn_id, field_name))
 
     # ------------------------------------------------------------- maintenance
-    def pause_backend(self, ssd_id: int) -> None:
-        self.adaptor.slot_for(ssd_id).pause()
-
-    def resume_backend(self, ssd_id: int) -> None:
-        self.adaptor.slot_for(ssd_id).resume()
-
-    def drain_backend(self, ssd_id: int) -> Event:
-        return self.adaptor.slot_for(ssd_id).drain()
-
-    def store_io_context(self, ssd_id: int) -> dict:
-        return self.adaptor.slot_for(ssd_id).io_context()
-
     def surprise_remove(self, ssd_id: int) -> Optional[NVMeSSD]:
         """Surprise hot-remove of a backend drive: every in-flight and
         buffered command fails with NAMESPACE_NOT_READY; the front end
         survives and the slot awaits a replacement."""
-        for binding in self._passthrough.values():
-            if binding.ssd_id == ssd_id:
-                # kill the translation first: commands the drive already
-                # fetched can no longer land CQEs or raise MSI-X, which
-                # is exactly the driver-timeout-only recovery of a
-                # passthrough path with no interposed safety net
-                binding.translation.live = False
+        removal_hooks = self.hooks.slot_removal
+        for before, _after in removal_hooks:
+            if before is not None:
+                before(ssd_id)
         removed = self.adaptor.slot_for(ssd_id).surprise_remove()
-        if removed is not None:
-            for binding in self._passthrough.values():
-                if binding.ssd_id == ssd_id:
-                    for dev_qid in binding.dev_qids.values():
-                        removed.detach_queue_pair(dev_qid)
-        if self.cxl is not None:
-            # the drive's DRAM left with it: its borrow grants die now
-            self.cxl.on_slot_removed(ssd_id)
+        for _before, after in removal_hooks:
+            after(ssd_id, removed)
         if self.obs is not None:
             self.obs.counter("engine_surprise_removes", slot=str(ssd_id)).inc()
         return removed

@@ -160,8 +160,8 @@ class BackendSlot:
         self.ssd = ssd
         self._bind_ssd(ssd)
         if self.adaptor.engine is not None:
-            # re-map passthrough queues onto the replacement drive
-            self.adaptor.engine.on_slot_attached(self.index)
+            for hook in self.adaptor.engine.hooks.slot_attach:
+                hook(self.index, ssd)
 
     # ------------------------------------------------------ pause machinery
     def pause(self) -> None:
@@ -307,3 +307,8 @@ class HostAdaptor:
         if not 0 <= ssd_id < len(self.slots):
             raise SimulationError(f"no back-end slot {ssd_id}")
         return self.slots[ssd_id]
+
+    def drive(self, ssd_id: int) -> Optional[NVMeSSD]:
+        """The NVMe drive seated in slot ``ssd_id``; None while the slot
+        is empty, or for a SATA/remote slot."""
+        return self.slot_for(ssd_id).ssd

@@ -35,6 +35,15 @@ class QoSLimits:
     def unlimited(self) -> bool:
         return self.max_iops is None and self.max_bytes_per_sec is None
 
+    @classmethod
+    def from_mi_params(cls, p: dict) -> Optional["QoSLimits"]:
+        """The limits an NVMe-MI request carries (``max_iops``,
+        ``max_mbps``); None when it names neither."""
+        if "max_iops" not in p and "max_mbps" not in p:
+            return None
+        return cls(max_iops=p.get("max_iops"),
+                   max_bytes_per_sec=p["max_mbps"] * 1e6 if p.get("max_mbps") else None)
+
 
 class _NamespaceQoS:
     """Buckets + command buffer + dispatcher for one namespace."""
@@ -137,6 +146,11 @@ class QoSModule:
         if self.checks is not None:
             self.checks.bind_qos(nsq)
         self._per_ns[ns_key] = nsq
+
+    def forget(self, ns_key: str) -> None:
+        """Drop a deleted namespace's limits.  Commands its buffer still
+        holds keep draining through their own dispatcher."""
+        self._per_ns.pop(ns_key, None)
 
     def limits_for(self, ns_key: str) -> Optional[QoSLimits]:
         nsq = self._per_ns.get(ns_key)

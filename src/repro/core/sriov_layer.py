@@ -72,15 +72,22 @@ class FrontEndFunction:
             cq_doorbell=self.doorbell_addr(qid, is_cq=True),
         )
         self.queue_pairs[qid] = qp
-        if self.passthrough is not None and qid != 0:
+        if self.passthrough is not None:
             # share the very same rings with the backing SSD
-            self.engine.passthrough_map_queue(self, qid, qp)
+            self.passthrough.map_queue(qid, qp)
         return qp
 
     def detach_queue_pair(self, qid: int) -> None:
         if self.passthrough is not None:
-            self.engine.passthrough_unmap_queue(self, qid)
+            self.passthrough.unmap_queue(qid)
         self.queue_pairs.pop(qid, None)
+
+    def unbind(self) -> None:
+        """Drop the bound namespace, leaving passthrough mode first."""
+        if self.passthrough is not None:
+            self.passthrough.disable()
+        self.namespaces.pop(1, None)
+        self.ns_key = None
 
     def __repr__(self) -> str:  # pragma: no cover
         kind = "VF" if self.is_vf else "PF"

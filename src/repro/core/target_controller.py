@@ -14,7 +14,8 @@ from typing import TYPE_CHECKING
 
 from ..nvme.command import SQE
 from ..nvme.spec import AdminOpcode, StatusCode
-from ..sim import Store
+from ..sim import SimulationError, Store
+from .hooks import run_handler
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import BMSEngine
@@ -111,12 +112,11 @@ class TargetController:
             return True
         if opcode == int(AdminOpcode.GET_LOG_PAGE):
             stats = self.engine.monitor_snapshot(fn.fn_id)
-            volumes = self.engine.volumes
-            if volumes is not None and fn.ns_key is not None:
-                # tenants see their own volume's CoW statistics in the
-                # vendor log page (the host never learns fleet topology)
-                if fn.ns_key in volumes.volumes:
-                    stats["volume"] = volumes.volume_stat(fn.ns_key)
+            # vendor log-page fields describe the tenant's own namespace
+            for name, fill in self.engine.hooks.opcodes["log"].items():
+                value = fill(fn.ns_key)
+                if value is not None:
+                    stats[name] = value
             if sqe.prp1:
                 yield self.engine.front_port.mem_write(sqe.prp1, 512, None)
                 self.engine.host_identify_pages[sqe.prp1] = stats
@@ -134,44 +134,26 @@ class TargetController:
             yield self.engine.sim.timeout(self.engine.timings.pipeline_ns)
             self.engine.post_front_cqe(fn, qid, sqe.cid, int(StatusCode.SUCCESS), 0)
             return True
-        if opcode in (
-            int(AdminOpcode.PUSH_INSTALL),
-            int(AdminOpcode.PUSH_UNINSTALL),
-            int(AdminOpcode.PUSH_STAT),
-        ):
-            yield self.engine.sim.timeout(self.engine.timings.pipeline_ns)
-            yield from self._push_admin(fn, qid, sqe)
-            return True
-        return False
-
-    def _push_admin(self, fn: "FrontEndFunction", qid: int, sqe: SQE):
-        """In-band pushdown program management (vendor admin opcodes)."""
-        from ..push import PushValidationError
-
-        engine = self.engine
-        if fn.ns_key is None:
-            engine.post_front_cqe(fn, qid, sqe.cid,
-                                  int(StatusCode.INVALID_NAMESPACE), 0)
-            return
-        opcode = sqe.opcode
-        status = StatusCode.SUCCESS
-        if opcode == int(AdminOpcode.PUSH_INSTALL):
+        handler = self.engine.hooks.opcodes["admin"].get(opcode)
+        if handler is None:
+            return False
+        # a vendor admin command: namespace-scoped, at pipeline cost.  It
+        # shares its NVMe-MI twin's handler; a rejected request completes
+        # INVALID_FIELD, a reply body lands at the command's data pointer
+        yield self.engine.sim.timeout(self.engine.timings.pipeline_ns)
+        status, body = StatusCode.INVALID_NAMESPACE, None
+        if fn.ns_key is not None:
             try:
-                engine.push_manager().install(fn.ns_key, sqe.payload)
-            except PushValidationError:
+                status, body = yield from run_handler(
+                    handler, {"key": fn.ns_key, "program": sqe.payload})
+            except SimulationError as exc:
+                from ..checks.runtime import InvariantViolation
+
+                if isinstance(exc, InvariantViolation):
+                    raise
                 status = StatusCode.INVALID_FIELD
-        elif opcode == int(AdminOpcode.PUSH_UNINSTALL):
-            push = engine.push
-            if push is None or push.program_for(fn.ns_key) is None:
-                status = StatusCode.INVALID_FIELD
-            else:
-                push.uninstall(fn.ns_key)
-        else:  # PUSH_STAT
-            push = engine.push
-            entry = push.program_for(fn.ns_key) if push is not None else None
-            if entry is None:
-                status = StatusCode.INVALID_FIELD
-            elif sqe.prp1:
-                yield engine.front_port.mem_write(sqe.prp1, 512, None)
-                engine.host_identify_pages[sqe.prp1] = entry.stat()
-        engine.post_front_cqe(fn, qid, sqe.cid, int(status), 0)
+        if body is not None and sqe.prp1:
+            yield self.engine.front_port.mem_write(sqe.prp1, 512, None)
+            self.engine.host_identify_pages[sqe.prp1] = body
+        self.engine.post_front_cqe(fn, qid, sqe.cid, int(status), 0)
+        return True

@@ -26,19 +26,20 @@ the packed 8-bit mapping entry encodes — and the lba checker shadows
 them (:meth:`CheckContext.on_chunk_free` fails if a chunk is freed
 while still referenced).
 
-The manager is dormant by default (``engine.volumes is None``): worlds
-that never call :meth:`BMSEngine.volume_manager` execute byte-identical
-event sequences to pre-volume builds.
+Armed by :meth:`BMSEngine.volume_manager` (or the first NVMe-MI volume
+command), the manager attaches through the engine hooks listed in
+``core/hooks.py``.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..nvme.namespace import Namespace
+from ..mgmt.nvme_mi import MIOpcode, MIStatus
 from ..nvme.spec import LBA_BYTES
 from ..sim import SimulationError
-from .lba_mapping import MappingEntry, MappingTable
+from .lba_mapping import MappingEntry
+from .qos import QoSLimits
 
 __all__ = ["VolumeManager", "CLONE_CHUNK_META_NS", "COW_COPY_NS"]
 
@@ -83,6 +84,20 @@ class VolumeManager:
         # chunks are refcounted before any snapshot/clone touches them
         for key in sorted(engine.namespaces):
             self.adopt(key)
+        hooks = engine.hooks
+        # the CoW copy runs first: a write's dirty mark follows its copy
+        hooks.write.insert(0, self.on_write)
+        hooks.ns_create.append(lambda ens: self.adopt(ens.key))
+        hooks.ns_teardown.append(self._release)
+        hooks.opcodes["mi"].update({
+            MIOpcode.CREATE_SNAPSHOT: self._mi_snapshot,
+            MIOpcode.CLONE_VOLUME: self._mi_clone,
+            MIOpcode.VOLUME_STAT: self._mi_stat,
+        })
+        # tenants see their own volume's CoW statistics in the vendor
+        # log page (the host never learns fleet topology)
+        hooks.opcodes["log"]["volume"] = (
+            lambda key: self.volume_stat(key) if key in self.volumes else None)
 
     # ------------------------------------------------------------ refcounts
     def _incref(self, phys: tuple[int, int]) -> None:
@@ -108,9 +123,6 @@ class VolumeManager:
             self.checks.on_chunk_free(self, phys)
         self._publish_shared()
         return True
-
-    def is_shared(self, phys: tuple[int, int]) -> bool:
-        return self.refcounts.get(phys, 1) > 1
 
     def shared_chunk_count(self) -> int:
         return sum(1 for count in self.refcounts.values() if count > 1)
@@ -188,19 +200,9 @@ class VolumeManager:
         if key in engine.namespaces or key in self.snapshots:
             raise SimulationError(f"name {key} already in use")
         chunks, num_blocks, parent = self._resolve_source(source)
-        rows = max(1, -(-len(chunks) // 8))
-        table = MappingTable(engine.chunk_blocks, rows=rows)
-        if engine._check_ctx is not None:
-            engine._check_ctx.bind_table(table)
-        for idx, (ssd_id, chunk) in enumerate(chunks):
-            table.set_entry(idx, MappingEntry(base_chunk=chunk, ssd_id=ssd_id))
-            self._incref((ssd_id, chunk))
-        ns = Namespace(nsid=1, num_blocks=num_blocks)
-        from .engine import EngineNamespace
-
-        ens = EngineNamespace(key=key, namespace=ns, table=table,
-                              chunks=[tuple(phys) for phys in chunks])
-        engine.namespaces[key] = ens
+        ens = engine.add_namespace(key, [tuple(phys) for phys in chunks], num_blocks)
+        for phys in ens.chunks:
+            self._incref(phys)
         self.volumes[key] = {"kind": "clone", "parent": parent}
         self.faults_by_volume[key] = 0
         self.clones_created += 1
@@ -213,10 +215,11 @@ class VolumeManager:
         """Modeled provisioning latency: pure metadata, O(chunks)."""
         return self.clone_chunk_meta_ns * max(1, nchunks)
 
-    def release_namespace(self, key: str, ens) -> list[tuple[int, int]]:
-        """Namespace teardown: drop refs; return the chunks now free."""
-        self.volumes.pop(key, None)
-        freeable: list[tuple[int, int]] = []
+    def _release(self, ens, freeable: list) -> None:
+        """Namespace teardown: drop refs; only the chunks that became
+        free are freed (a snapshot or clone may still hold the rest)."""
+        self.volumes.pop(ens.key, None)
+        freeable.clear()
         for phys in ens.chunks:
             phys = tuple(phys)
             if self.refcounts.get(phys) is None:
@@ -224,7 +227,6 @@ class VolumeManager:
                 freeable.append(phys)
             elif self._decref(phys):
                 freeable.append(phys)
-        return freeable
 
     # ------------------------------------------------------------ CoW path
     def on_write(self, ens, slba: int, nblocks: int, span=None):
@@ -274,6 +276,28 @@ class VolumeManager:
             if free[ssd_id]:
                 return ssd_id, free[ssd_id].pop(0)
         raise SimulationError("CoW fault: no free chunks on any back end")
+
+    # ---------------------------------------------------------- NVMe-MI
+    def _mi_snapshot(self, p: dict):
+        return MIStatus.SUCCESS, self.create_snapshot(p["volume"], p["snapshot"])
+
+    def _mi_clone(self, p: dict):
+        engine = self.engine
+        ens = self.clone_volume(p["source"], p["key"])
+        # provisioning is metadata-only: O(chunks) table writes on the
+        # ARM core, never a data copy
+        yield engine.sim.timeout(self.clone_cost_ns(len(ens.chunks)))
+        limits = QoSLimits.from_mi_params(p)
+        if limits is not None:
+            engine.qos.configure(p["key"], limits)
+        if p.get("fn") is not None:
+            engine.bind_namespace(p["key"], int(p["fn"]))
+        return MIStatus.SUCCESS, self.volume_stat(p["key"])
+
+    def _mi_stat(self, p: dict):
+        if p.get("key") is not None:
+            return MIStatus.SUCCESS, self.volume_stat(p["key"])
+        return MIStatus.SUCCESS, {"volumes": self.stat_all()}
 
     # ------------------------------------------------------------ reporting
     def volume_stat(self, key: str) -> dict:

@@ -270,7 +270,7 @@ def _scheme_passthrough(spec: FioSpec, *, seed: int, kernel: KernelProfile,
                         **rig_kwargs)
     size = min(BM_NAMESPACE_BYTES, 28 * 64 * GIB)
     fn = rig.provision("ns0", size, placement=[0] * -(-size // rig.engine.chunk_bytes))
-    rig.engine.enable_passthrough("ns0")
+    rig.engine.passthrough_mode().enable("ns0")
     _apply_dma_model(rig, "ns0", policy)
     driver = rig.baremetal_driver(fn, policy=policy)
     return _finish(rig.sim, FioRun(rig.sim, [driver], spec, rig.streams))

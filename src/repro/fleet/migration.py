@@ -26,7 +26,7 @@ from ..sim.units import MS
 if TYPE_CHECKING:  # pragma: no cover
     from .server_sim import TenantAssignment
 
-__all__ = ["MigrationPlan", "MigrationArrival",
+__all__ = ["MigrationPlan", "MigrationArrival", "DirtyChunks",
            "PRECOPY_ROUNDS", "PRECOPY_ROUND_NS", "CUTOVER_NS",
            "CHUNK_COPY_NS", "COLD_CHUNK_COPY_NS"]
 
@@ -81,3 +81,23 @@ class MigrationArrival:
     serve_from_ns: int
     source: str
     mode: str
+
+
+class DirtyChunks:
+    """The pre-copy's dirty-chunk bitmap: the host chunks of one
+    namespace written since the last round, fed by an engine write hook
+    from construction until :meth:`close`."""
+
+    def __init__(self, engine, ens, chunks=()):
+        self.engine = engine
+        self.ens = ens
+        self.chunks = set(chunks)
+        engine.hooks.write.append(self._on_write)
+
+    def _on_write(self, ens, slba: int, nblocks: int, span) -> None:
+        if ens is self.ens:
+            cs = ens.table.chunk_blocks
+            self.chunks.update(range(slba // cs, (slba + nblocks - 1) // cs + 1))
+
+    def close(self) -> None:
+        self.engine.hooks.write.remove(self._on_write)

@@ -25,7 +25,7 @@ from ..faults import FaultPlan, get_preset
 from ..obs import MetricsRegistry
 from ..sim import SeriesRecorder
 from ..sim.units import MS
-from .migration import MigrationArrival, MigrationPlan
+from .migration import DirtyChunks, MigrationArrival, MigrationPlan
 
 __all__ = ["TenantAssignment", "ServerRunSpec", "run_server", "shifted_preset"]
 
@@ -198,20 +198,20 @@ def run_server(spec: ServerRunSpec) -> dict:
             return
         # iterative pre-copy: round 0 copies everything; each later
         # round re-copies only what the write path dirtied meanwhile
-        ens.dirty_chunks = set(range(len(ens.chunks)))
+        dirty = DirtyChunks(rig.engine, ens, range(len(ens.chunks)))
         for _ in range(plan.rounds):
-            rec["rounds"].append(len(ens.dirty_chunks))
-            ens.dirty_chunks.clear()
+            rec["rounds"].append(len(dirty.chunks))
+            dirty.chunks.clear()
             yield sim.timeout(plan.round_ns)
         if plan.mode == "prime":
             # warm standby ahead of a planned wave: no stop, no dest
-            rec["final_dirty"] = len(ens.dirty_chunks)
-            ens.dirty_chunks = None
+            rec["final_dirty"] = len(dirty.chunks)
+            dirty.close()
             migrations.append(rec)
             return
         stop[plan.tenant] = True
-        rec["final_dirty"] = len(ens.dirty_chunks)
-        ens.dirty_chunks = None
+        rec["final_dirty"] = len(dirty.chunks)
+        dirty.close()
         yield sim.timeout(plan.cutover_ns)
         rec["handover_ns"] = sim.now
         migrations.append(rec)

@@ -60,6 +60,15 @@ class BufferPool:
             return self.tier.owner_memory(addr)
         return self.memory
 
+    def read_async(self, addr: int, length: int, reply) -> None:
+        """A device read of a pooled buffer (a PRP list): on-card memory
+        answers at once, a spilled buffer after the tier's link and
+        media latency; then ``reply(data)``."""
+        if self.tier is not None and self.tier.contains(addr):
+            self.tier.window_read(addr, length, reply)
+            return
+        reply(self.memory.mem_read(addr, length))
+
     def owner_name(self, addr: int) -> str:
         """Name of the memory ``addr`` lives in (checker bookkeeping
         follows buffers across tiers by this key)."""

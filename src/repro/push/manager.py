@@ -1,9 +1,9 @@
 """Engine-side pushdown manager: install table + interpreter.
 
 One :class:`PushManager` per :class:`~repro.core.engine.BMSEngine`,
-armed lazily (``engine.push_manager()``) exactly like the CoW volume
-layer — worlds that never install a program keep ``engine.push is
-None`` and execute byte-identical event sequences.
+armed lazily (``engine.push_manager()``, or the first program install)
+like the CoW volume layer; it attaches through the engine hooks listed
+in ``core/hooks.py``, and a namespace's program dies with it.
 
 The interpreter runs inside the engine's command path: a ``PUSH_EXEC``
 vendor I/O command names an invocation object parked at its PRP page;
@@ -32,7 +32,8 @@ import struct
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..nvme.spec import LBA_BYTES, IOOpcode, StatusCode
+from ..mgmt.nvme_mi import MIOpcode, MIStatus
+from ..nvme.spec import LBA_BYTES, AdminOpcode, IOOpcode, StatusCode
 from ..sim import SimulationError
 from ..sim.units import PAGE_SIZE
 from .program import PushCosts, PushProgram, validate_program
@@ -134,6 +135,19 @@ class PushManager:
         ctx = engine._check_ctx
         if ctx is not None:
             ctx.bind_push(self)
+        hooks = engine.hooks
+        hooks.ns_teardown.append(
+            lambda ens, _freeable: self.programs.pop(ens.key, None))
+        hooks.opcodes["io"][IOOpcode.PUSH_EXEC] = self.execute
+        # in-band vendor admin and NVMe-MI share one handler per operation
+        for admin_op, mi_op, handler in (
+            (AdminOpcode.PUSH_INSTALL, MIOpcode.PUSH_INSTALL,
+             lambda p: (MIStatus.SUCCESS, self.install(p["key"], p["program"]))),
+            (AdminOpcode.PUSH_UNINSTALL, MIOpcode.PUSH_UNINSTALL,
+             lambda p: (MIStatus.SUCCESS, self.uninstall(p["key"]))),
+            (AdminOpcode.PUSH_STAT, MIOpcode.PUSH_STAT, self._stat_op),
+        ):
+            hooks.opcodes["admin"][admin_op] = hooks.opcodes["mi"][mi_op] = handler
 
     # ------------------------------------------------------------- install
     def install(self, key: str, program: dict, validate: bool = True) -> dict:
@@ -170,9 +184,6 @@ class PushManager:
             raise SimulationError(f"no push program installed on {key}")
         return entry.stat()
 
-    def program_for(self, key: str) -> Optional[InstalledProgram]:
-        return self.programs.get(key)
-
     def stat(self, key: str) -> dict:
         entry = self.programs.get(key)
         if entry is None:
@@ -182,9 +193,15 @@ class PushManager:
     def stat_all(self) -> list[dict]:
         return [self.programs[key].stat() for key in sorted(self.programs)]
 
+    def _stat_op(self, p: dict):
+        if p.get("key") is not None:
+            return MIStatus.SUCCESS, self.stat(p["key"])
+        return MIStatus.SUCCESS, {"programs": self.stat_all()}
+
     # --------------------------------------------------------- interpreter
     def execute(self, fn, qid: int, sqe, ens):
-        """Generator: run one PUSH_EXEC command end to end."""
+        """Generator: run one PUSH_EXEC command end to end; returns the
+        completion status the engine posts."""
         engine = self.engine
         sim = engine.sim
         span = sqe.span
@@ -196,14 +213,10 @@ class PushManager:
 
         entry = self.programs.get(ens.key)
         if entry is None:
-            engine.post_front_cqe(fn, qid, sqe.cid,
-                                  int(StatusCode.INVALID_FIELD), 0, span=span)
-            return
+            return StatusCode.INVALID_FIELD
         invocation = yield engine.front_port.mem_read(sqe.prp1, PAGE_SIZE)
         if not isinstance(invocation, dict):
-            engine.post_front_cqe(fn, qid, sqe.cid,
-                                  int(StatusCode.INVALID_FIELD), 0, span=span)
-            return
+            return StatusCode.INVALID_FIELD
         yield sim.timeout(self.costs.dispatch_ns)
 
         kind = entry.program.kind
@@ -242,7 +255,7 @@ class PushManager:
             if saved:
                 self.obs.counter("push_hops_saved").inc(saved)
             self.obs.counter("push_exec_ns").inc(elapsed)
-        engine.post_front_cqe(fn, qid, sqe.cid, status, 0, span=span)
+        return status
 
     # ------------------------------------------------------- backend hops
     def _backend_io(self, fn, ens, entry, opcode: int, lba: int,

@@ -9,6 +9,7 @@ import pytest
 
 from repro.baselines import build_bmstore
 from repro.core.cxl import CXLBufferTier, CXLTimings
+from repro.core.hooks import EngineHooks
 from repro.host.memory import BufferPool, HostMemory, PAGE_SIZE
 from repro.mgmt.nvme_mi import MIStatus
 from repro.sim import SimulationError, Simulator
@@ -28,8 +29,10 @@ class _StubEngine:
         )
         self._prp_pool = BufferPool(self.chip_memory)
         self.adaptor = SimpleNamespace(
-            slots=[SimpleNamespace(ssd=object()) for _ in range(slots)]
+            slots=[SimpleNamespace(ssd=object()) for _ in range(slots)],
+            drive=lambda ssd_id: self.adaptor.slots[ssd_id].ssd,
         )
+        self.hooks = EngineHooks(self)
 
 
 def small_tier(chip_pages=4, window_pages=2, slot_pages=2, promote_after=4):

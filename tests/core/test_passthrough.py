@@ -55,7 +55,7 @@ def test_passthrough_translates_lbas_and_isolates_namespaces():
     chunk = rig.engine.chunk_bytes
     rig.provision("front", chunk)          # takes physical chunk 0
     fn = rig.provision("pt", chunk)        # takes physical chunk 1
-    rig.engine.enable_passthrough("pt")
+    rig.engine.passthrough_mode().enable("pt")
     driver = rig.baremetal_driver(fn)
     marker = b"passthrough block 5"
     payload = marker.ljust(4096, b"\0")
@@ -80,7 +80,7 @@ def test_passthrough_translates_lbas_and_isolates_namespaces():
 def test_passthrough_bounds_guest_lbas_to_the_namespace():
     rig = build_bmstore(num_ssds=1)
     fn = rig.provision("pt", rig.engine.chunk_bytes)
-    rig.engine.enable_passthrough("pt")
+    rig.engine.passthrough_mode().enable("pt")
     driver = rig.baremetal_driver(fn)
 
     def flow():
@@ -99,7 +99,7 @@ def test_passthrough_rejects_multi_ssd_namespaces():
     rig = build_bmstore(num_ssds=2)
     rig.provision("wide", 2 * rig.engine.chunk_bytes, placement=[0, 1])
     with pytest.raises(SimulationError, match="single-SSD"):
-        rig.engine.enable_passthrough("wide")
+        rig.engine.passthrough_mode().enable("wide")
 
 
 def test_passthrough_rejects_fragmented_extents():
@@ -113,14 +113,14 @@ def test_passthrough_rejects_fragmented_extents():
     # so the extent ends ..., N-1, 0 — contiguous it is not
     rig.provision("frag", nfree * chunk, fn_id=7, placement=[0] * nfree)
     with pytest.raises(SimulationError, match="contiguous"):
-        rig.engine.enable_passthrough("frag")
+        rig.engine.passthrough_mode().enable("frag")
 
 
 def test_passthrough_requires_a_bound_function():
     rig = build_bmstore(num_ssds=1)
     rig.engine.create_namespace("loose", rig.engine.chunk_bytes)
     with pytest.raises(SimulationError, match="bound"):
-        rig.engine.enable_passthrough("loose")
+        rig.engine.passthrough_mode().enable("loose")
 
 
 # ------------------------------------------------------------ hot removal

@@ -115,7 +115,7 @@ def _storm(depth=32):
     rig = build_bmstore(num_ssds=1, seed=7,
                         faults=get_preset("pt-hot-remove"))
     fn = rig.provision("ns0", rig.engine.chunk_bytes, placement=[0])
-    rig.engine.enable_passthrough("ns0")
+    rig.engine.passthrough_mode().enable("ns0")
     driver = rig.baremetal_driver(fn, queue_depth=depth, num_io_queues=1)
 
     def worker(tag):

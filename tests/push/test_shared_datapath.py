@@ -9,6 +9,7 @@ buffer spilled to the CXL tier reads its bytes back from the tier.
 from repro.apps.minikv import encode_record
 from repro.baselines import build_bmstore
 from repro.core.lba_mapping import CHUNK_BYTES
+from repro.fleet.migration import DirtyChunks
 from repro.nvme.spec import LBA_BYTES
 from repro.push import cond_write_program, filter_program
 from repro.sim.units import MIB, PAGE_SIZE
@@ -64,16 +65,16 @@ def test_push_write_during_precopy_marks_its_chunk_dirty():
     def flow():
         yield driver.install_push_program(cond_write_program([[lba, 1]]))
         yield driver.write(lba, 1, payload=block(encode_record(b"k", b"v", 5)))
-        ens.dirty_chunks = set()  # a pre-copy round starts
+        dirty = DirtyChunks(rig.engine, ens)  # a pre-copy round starts
         info = yield driver.push_exec({
             "carry": True, "lba": lba, "expected_seq": 5,
             "payload": block(encode_record(b"k", b"w", 6)),
         })
-        return info
+        return info, dirty
 
-    info = drive(rig, flow())
+    info, dirty = drive(rig, flow())
     assert info.ok and info.data.committed
-    assert ens.dirty_chunks == {1}
+    assert dirty.chunks == {1}
 
 
 def test_push_hop_reads_back_a_buffer_spilled_to_cxl():
