@@ -40,7 +40,7 @@ def main() -> None:
 
     # 3. the tenant's standard NVMe driver binds the VF
     fn = rig.engine.sriov.function_by_id(5)
-    driver = NVMeDriver(rig.host, fn, name="tenant-nvme", obs=obs)
+    driver = NVMeDriver(rig.host, fn, name="tenant-nvme")
     print(f"bound {fn!r}: {driver.num_blocks * 4096 / GIB:.0f} GiB")
 
     # 4. run 4K random read, qd 32 x 4 jobs

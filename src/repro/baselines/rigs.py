@@ -19,7 +19,7 @@ from ..core.sriov_layer import FrontEndFunction
 from ..host.driver import NVMeDriver
 from ..host.environment import Host
 from ..host.kernel_profile import DEFAULT_KERNEL, KernelProfile
-from ..host.policy import SubmissionPolicy, resolve_policy
+from ..host.policy import DEFAULT_POLICY, SubmissionPolicy, resolve_policy
 from ..host.vm import VirtualMachine, VMProfile
 from ..mgmt.console import RemoteConsole
 from ..nvme.flash import FlashProfile, P4510_PROFILE
@@ -42,37 +42,53 @@ __all__ = [
 
 
 def _base_world(
-    seed: int, kernel: KernelProfile, num_cores: int = 48
+    seed: int, kernel: KernelProfile, obs: Optional[MetricsRegistry],
+    faults: Optional[FaultPlan], checks,
 ) -> tuple[Simulator, StreamFactory, Host]:
+    """A simulator with the world's instruments armed, and its host.
+
+    Every part built on the simulator reads its instruments there.  An
+    injector only exists when the plan actually schedules faults: a
+    plan holding nothing but a driver policy arms host-side supervision
+    only, so the datapath hooks stay on their ``faults is None`` path.
+    """
     sim = Simulator()
+    injector = FaultInjector(sim, faults) if faults is not None and faults.specs else None
+    sim.arm(obs=obs, checks=resolve_checks(checks, obs), faults=injector)
     streams = StreamFactory(root_seed=seed)
-    host = Host(sim, streams, kernel=kernel, num_cores=num_cores)
+    host = Host(sim, streams, kernel=kernel)
     return sim, streams, host
 
 
-def _make_injector(
-    sim: Simulator,
-    faults: Optional[FaultPlan],
-    obs: Optional[MetricsRegistry],
-) -> Optional[FaultInjector]:
-    """An injector only exists when the plan actually schedules faults.
-
-    A plan holding nothing but a driver policy arms host-side
-    supervision without creating any injector, so the datapath hooks
-    stay on their ``faults is None`` fast path.
-    """
-    if faults is None or not faults.specs:
-        return None
-    return FaultInjector(sim, faults, obs=obs)
+def _start_faults(sim: Simulator, *fabrics, engine=None, controller=None) -> None:
+    """Start the armed injector's timeline, if any (see FaultInjector.start)."""
+    if sim.faults is not None:
+        sim.faults.start(fabrics, engine=engine, controller=controller)
 
 
 def _driver_policy(faults: Optional[FaultPlan]) -> Optional[DriverFaultPolicy]:
     return faults.driver_policy if faults is not None else None
 
 
+class _Instruments:
+    """A rig's view of the instruments armed on its simulator."""
+
+    @property
+    def obs(self) -> Optional[MetricsRegistry]:
+        return self.sim.obs
+
+    @property
+    def faults(self) -> Optional[FaultInjector]:
+        return self.sim.faults
+
+    @property
+    def checks(self) -> Optional[CheckContext]:
+        return self.sim.check_context
+
+
 # ---------------------------------------------------------------- native
 @dataclass
-class NativeRig:
+class NativeRig(_Instruments):
     """Bare-metal: the host NVMe driver directly on physical drives."""
 
     sim: Simulator
@@ -80,9 +96,6 @@ class NativeRig:
     host: Host
     ssds: list[NVMeSSD]
     drivers: list[NVMeDriver]
-    obs: Optional[MetricsRegistry] = None
-    faults: Optional[FaultInjector] = None
-    checks: Optional[CheckContext] = None
 
     def driver(self, index: int = 0) -> NVMeDriver:
         return self.drivers[index]
@@ -102,37 +115,32 @@ def build_native(
 ) -> NativeRig:
     """A bare-metal world: host + drives + bound drivers."""
     policy = resolve_policy(policy)
-    sim, streams, host = _base_world(seed, kernel)
-    ctx = resolve_checks(checks, obs)
-    if ctx is not None:
-        ctx.bind_sim(sim)
+    sim, streams, host = _base_world(seed, kernel, obs, faults, checks)
     ssds = [
         NVMeSSD(sim, host.fabric, streams, name=f"nvme{i}", profile=flash_profile)
         for i in range(num_ssds)
     ]
-    if ctx is not None:
-        for ssd in ssds:
-            ctx.bind_ssd(ssd)
-    injector = _make_injector(sim, faults, obs)
-    if injector is not None:
-        for ssd in ssds:
-            injector.bind_ssd(ssd)
-        injector.bind_fabric(host.fabric)
-        injector.start()
+    _start_faults(sim, host.fabric)
     fault_policy = _driver_policy(faults)
     drivers = [
         NVMeDriver(host, ssd, queue_depth=queue_depth,
-                   num_io_queues=num_io_queues, name=f"nvme{i}", obs=obs,
-                   fault_policy=fault_policy, checks=ctx, policy=policy)
+                   num_io_queues=num_io_queues, name=f"nvme{i}",
+                   fault_policy=fault_policy, policy=policy)
         for i, ssd in enumerate(ssds)
     ]
-    return NativeRig(sim, streams, host, ssds, drivers, obs=obs, faults=injector,
-                     checks=ctx)
+    return NativeRig(sim, streams, host, ssds, drivers)
 
 
 # --------------------------------------------------------------- BM-Store
+def _fn_policy(fn: FrontEndFunction, policy) -> SubmissionPolicy:
+    """A driver's policy; its DMA model goes on the function it binds."""
+    policy = resolve_policy(policy) or DEFAULT_POLICY
+    fn.dma_model = policy.dma
+    return policy
+
+
 @dataclass
-class BMStoreRig:
+class BMStoreRig(_Instruments):
     """The full BM-Store deployment: engine + controller + console."""
 
     sim: Simulator
@@ -142,10 +150,7 @@ class BMStoreRig:
     controller: BMSController
     console: RemoteConsole
     ssds: list[NVMeSSD]
-    obs: Optional[MetricsRegistry] = None
-    faults: Optional[FaultInjector] = None
     fault_policy: Optional[DriverFaultPolicy] = None
-    checks: Optional[CheckContext] = None
     _next_vf: int = 5  # fn 1..4 are PFs; VMs get VFs from 5 up
 
     def provision(
@@ -173,8 +178,7 @@ class BMStoreRig:
         return NVMeDriver(
             self.host, fn, queue_depth=queue_depth,
             num_io_queues=num_io_queues, name=f"bms.fn{fn.fn_id}",
-            obs=self.obs, fault_policy=self.fault_policy, checks=self.checks,
-            policy=resolve_policy(policy),
+            fault_policy=self.fault_policy, policy=_fn_policy(fn, policy),
         )
 
     def vm_driver(
@@ -184,9 +188,9 @@ class BMStoreRig:
         queue_depth: int = 1024,
         policy: Optional[SubmissionPolicy] = None,
     ) -> NVMeDriver:
-        return vm.bind_nvme(fn, queue_depth=queue_depth, obs=self.obs,
-                            fault_policy=self.fault_policy, checks=self.checks,
-                            policy=resolve_policy(policy))
+        return vm.bind_nvme(fn, queue_depth=queue_depth,
+                            fault_policy=self.fault_policy,
+                            policy=_fn_policy(fn, policy))
 
 
 def build_bmstore(
@@ -204,16 +208,13 @@ def build_bmstore(
     chip_memory_bytes: Optional[int] = None,
 ) -> BMStoreRig:
     """A full BM-Store world: host + engine/controller/console + drives."""
-    sim, streams, host = _base_world(seed, kernel)
-    ctx = resolve_checks(checks, obs)
-    if ctx is not None:
-        ctx.bind_sim(sim)
+    sim, streams, host = _base_world(seed, kernel, obs, faults, checks)
     engine_kwargs = {}
     if chip_memory_bytes is not None:
         engine_kwargs["chip_memory_bytes"] = chip_memory_bytes
     engine = BMSEngine(
         host, timings=timings, qos_enabled=qos_enabled, zero_copy=zero_copy,
-        obs=obs, checks=ctx, **engine_kwargs,
+        **engine_kwargs,
     )
     controller = BMSController(engine, timings=controller_timings)
     console = RemoteConsole(host, engine.front_port.name)
@@ -223,28 +224,19 @@ def build_bmstore(
             sim, engine.backend_fabric, streams, name=f"bssd{i}",
             profile=flash_profile,
         )
-        if ctx is not None:
-            ctx.bind_ssd(ssd)
         engine.attach_ssd(ssd)
         ssds.append(ssd)
-    injector = _make_injector(sim, faults, obs)
-    if injector is not None:
-        injector.bind_engine(engine, controller=controller)
-        injector.bind_fabric(host.fabric)
-        injector.bind_fabric(engine.backend_fabric)
-        for ssd in ssds:
-            injector.bind_ssd(ssd)
-        injector.start()
-        if any(spec.kind == "hot_remove" for spec in faults.specs):
-            controller.start_watchdog()
+    _start_faults(sim, host.fabric, engine.backend_fabric, engine=engine,
+                  controller=controller)
+    if faults is not None and "hot_remove" in faults.kinds():
+        controller.start_watchdog()
     return BMStoreRig(sim, streams, host, engine, controller, console, ssds,
-                      obs=obs, faults=injector,
-                      fault_policy=_driver_policy(faults), checks=ctx)
+                      fault_policy=_driver_policy(faults))
 
 
 # ------------------------------------------------------------------ VFIO
 @dataclass
-class VFIORig:
+class VFIORig(_Instruments):
     """Pass-through: whole drives assigned to VMs through the IOMMU."""
 
     sim: Simulator
@@ -254,9 +246,6 @@ class VFIORig:
     vms: list[VirtualMachine]
     drivers: list[NVMeDriver]
     assignment: VFIOAssignment
-    obs: Optional[MetricsRegistry] = None
-    faults: Optional[FaultInjector] = None
-    checks: Optional[CheckContext] = None
 
     def driver(self, index: int = 0) -> NVMeDriver:
         return self.drivers[index]
@@ -277,38 +266,26 @@ def build_vfio(
 ) -> VFIORig:
     """Pass-through worlds: one whole drive per VM."""
     policy = resolve_policy(policy)
-    sim, streams, host = _base_world(seed, kernel)
-    ctx = resolve_checks(checks, obs)
-    if ctx is not None:
-        ctx.bind_sim(sim)
+    sim, streams, host = _base_world(seed, kernel, obs, faults, checks)
     assignment = VFIOAssignment()
     fault_policy = _driver_policy(faults)
     ssds, vms, drivers = [], [], []
     for i in range(num_vms):
         ssd = NVMeSSD(sim, host.fabric, streams, name=f"nvme{i}", profile=flash_profile)
-        if ctx is not None:
-            ctx.bind_ssd(ssd)
         vm = VirtualMachine(host, f"vm{i}", profile=vm_profile,
                             guest_kernel=guest_kernel or kernel)
-        driver = assignment.assign(vm, ssd, queue_depth=queue_depth, obs=obs,
-                                   fault_policy=fault_policy, checks=ctx,
-                                   policy=policy)
+        driver = assignment.assign(vm, ssd, queue_depth=queue_depth,
+                                   fault_policy=fault_policy, policy=policy)
         ssds.append(ssd)
         vms.append(vm)
         drivers.append(driver)
-    injector = _make_injector(sim, faults, obs)
-    if injector is not None:
-        for ssd in ssds:
-            injector.bind_ssd(ssd)
-        injector.bind_fabric(host.fabric)
-        injector.start()
-    return VFIORig(sim, streams, host, ssds, vms, drivers, assignment, obs=obs,
-                   faults=injector, checks=ctx)
+    _start_faults(sim, host.fabric)
+    return VFIORig(sim, streams, host, ssds, vms, drivers, assignment)
 
 
 # ------------------------------------------------------------------ SPDK
 @dataclass
-class SPDKRig:
+class SPDKRig(_Instruments):
     """SPDK vhost: polling cores + virtio disks for VMs."""
 
     sim: Simulator
@@ -317,9 +294,6 @@ class SPDKRig:
     ssds: list[NVMeSSD]
     target: SPDKVhostTarget
     vdevs: list[VhostBlockDevice]
-    obs: Optional[MetricsRegistry] = None
-    faults: Optional[FaultInjector] = None
-    checks: Optional[CheckContext] = None
 
     def vdev(self, index: int = 0) -> VhostBlockDevice:
         return self.vdevs[index]
@@ -339,25 +313,13 @@ def build_spdk(
     checks=None,
 ) -> SPDKRig:
     """An SPDK vhost world: polling cores + virtio vdevs."""
-    sim, streams, host = _base_world(seed, kernel)
-    ctx = resolve_checks(checks, obs)
-    if ctx is not None:
-        ctx.bind_sim(sim)
+    sim, streams, host = _base_world(seed, kernel, obs, faults, checks)
     ssds = [
         NVMeSSD(sim, host.fabric, streams, name=f"nvme{i}", profile=flash_profile)
         for i in range(num_ssds)
     ]
-    if ctx is not None:
-        for ssd in ssds:
-            ctx.bind_ssd(ssd)
-    injector = _make_injector(sim, faults, obs)
-    if injector is not None:
-        for ssd in ssds:
-            injector.bind_ssd(ssd)
-        injector.bind_fabric(host.fabric)
-        injector.start()
-    target = SPDKVhostTarget(host, ssds, num_cores=num_cores, config=config,
-                             checks=ctx)
+    _start_faults(sim, host.fabric)
+    target = SPDKVhostTarget(host, ssds, num_cores=num_cores, config=config)
     vdevs = []
     blocks = vdev_blocks or (256 * 1024**3 // 4096)
     per_ssd_next: dict[int, int] = {}
@@ -367,5 +329,4 @@ def build_spdk(
         per_ssd_next[ssd_index] = base + blocks
         vdevs.append(target.create_vdev(f"vd{i}", ssd_index, base, blocks))
     target.start()
-    return SPDKRig(sim, streams, host, ssds, target, vdevs, obs=obs,
-                   faults=injector, checks=ctx)
+    return SPDKRig(sim, streams, host, ssds, target, vdevs)

@@ -167,7 +167,6 @@ class SPDKVhostTarget:
         num_cores: int = 1,
         config: SPDKConfig = SPDKConfig(),
         name: str = "vhost",
-        checks=None,
     ):
         if not ssds:
             raise SimulationError("vhost needs at least one SSD")
@@ -179,8 +178,6 @@ class SPDKVhostTarget:
         self.cores: list[Core] = host.cpu.dedicate(num_cores, owner=name)
         self.vdevs: list[VhostBlockDevice] = []
         self._pool = BufferPool(host.memory)
-        if checks is not None:
-            checks.bind_pool(self._pool)
         self._pending: dict[tuple[int, int], _InflightIO] = {}
         self._next_cid = 0
         self._qps = []
@@ -191,9 +188,6 @@ class SPDKVhostTarget:
             depth = 1024
             sq = SubmissionQueue(mem, mem.alloc(depth * 64), depth, sqid=VHOST_QID)
             cq = CompletionQueue(mem, mem.alloc(depth * 16), depth, cqid=VHOST_QID)
-            if checks is not None:
-                checks.bind_ring(sq)
-                checks.bind_ring(cq)
             qp = ssd.attach_queue_pair(VHOST_QID, sq, cq)
             cq.irq_vector = None  # SPDK polls; no interrupts
             self._qps.append(qp)

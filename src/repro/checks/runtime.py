@@ -1,9 +1,10 @@
 """Runtime invariant checkers for the simulated datapath.
 
-The checking layer mirrors the fault layer's binding pattern: components
-carry a dormant ``self.checks`` attribute (``None`` — one attribute
-test, no allocation) and a :class:`CheckContext` arms the hook points it
-covers.  Checkers are **pure observers**: they never create simulation
+A world arms one :class:`CheckContext` on its simulator
+(:meth:`~repro.sim.Simulator.arm`), and each part caches
+``sim.checker(name)`` — the context when it runs checker ``name``,
+else ``None`` — in its ``self.checks`` when it is constructed: a
+dormant hook point is one attribute test, no allocation.  Checkers are **pure observers**: they never create simulation
 events, never draw randomness, and never mutate component state, so a
 checked run is byte-identical to an unchecked run — the only output is
 ``repro.obs`` coverage counters and, on a violation, a raised
@@ -153,7 +154,7 @@ class _FreedRanges:
 
 
 class CheckContext:
-    """Armed invariant checkers; bind it to a world like a FaultInjector.
+    """Armed invariant checkers; arm it on a world's simulator.
 
     ``checkers`` selects a subset of :data:`CHECKER_NAMES` (``None`` =
     all).  Every check invocation increments the per-checker
@@ -211,48 +212,6 @@ class CheckContext:
     def _fail(self, checker: str, message: str, span=None, **context) -> None:
         self.violations += 1
         raise InvariantViolation(checker, message, span=span, **context)
-
-    # -------------------------------------------------------------- binding
-    def bind_sim(self, sim) -> None:
-        if self.kernel:
-            sim.checks = self
-
-    def bind_ring(self, ring) -> None:
-        """Arm one SQ or CQ (both expose ``checks``)."""
-        if self.ring:
-            ring.checks = self
-
-    def bind_ssd(self, ssd) -> None:
-        if self.prp:
-            ssd.checks = self
-
-    def bind_engine(self, engine) -> None:
-        if self.prp:
-            engine.checks = self
-
-    def bind_table(self, table) -> None:
-        if self.lba:
-            table.checks = self
-
-    def bind_qos(self, nsq) -> None:
-        """Arm one per-namespace QoS stage (called by QoSModule)."""
-        if self.qos:
-            nsq.checks = self
-
-    def bind_volumes(self, vm) -> None:
-        """Arm one VolumeManager's refcount shadow (lba checker)."""
-        if self.lba:
-            vm.checks = self
-
-    def bind_push(self, manager) -> None:
-        """Arm one PushManager's sandbox shadow (called on construction)."""
-        if self.push:
-            manager.checks = self
-
-    def bind_pool(self, pool) -> None:
-        if self.prp:
-            pool.checks = self
-            self._freed.setdefault(pool.memory.name, _FreedRanges())
 
     # ------------------------------------------------------- state accessors
     def _ring_state(self, ring) -> _RingState:

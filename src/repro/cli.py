@@ -209,8 +209,13 @@ def _cmd_fio(args) -> int:
     policy, err = _resolve_policy(args.policy)
     if err:
         return err
-    result = run_case(args.scheme, spec, seed=args.seed, faults=faults,
-                      policy=policy)
+    try:
+        result = run_case(args.scheme, spec, seed=args.seed, faults=faults,
+                          policy=policy)
+    except ValueError as exc:
+        # a plan or policy this scheme's world cannot serve
+        print(str(exc), file=sys.stderr)
+        return 2
     if args.json:
         import json
 
@@ -332,10 +337,14 @@ def _cmd_grid(args) -> int:
     _, err = _resolve_policy(args.policy)
     if err:
         return err
-    payloads = run_grid(
-        schemes, cases, seed=args.seed, faults=args.faults,
-        obs_mode=args.obs_mode, workers=args.workers, policy=args.policy,
-    )
+    try:
+        payloads = run_grid(
+            schemes, cases, seed=args.seed, faults=args.faults,
+            obs_mode=args.obs_mode, workers=args.workers, policy=args.policy,
+        )
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     if not args.snapshots:
         for p in payloads:
             p.pop("snapshot", None)
@@ -573,7 +582,8 @@ def _exercise_qos_checker():
 
     sim = Simulator()
     ctx = CheckContext(checkers=["qos"])
-    qos = QoSModule(sim, checks=ctx)
+    sim.arm(checks=ctx)
+    qos = QoSModule(sim)
     qos.configure("ns", QoSLimits(max_iops=100_000.0, burst_ios=2))
     for _ in range(8):
         qos.admit("ns", 4096)

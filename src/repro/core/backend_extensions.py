@@ -22,8 +22,8 @@ from ..nvme.spec import IOOpcode, LBA_BYTES, StatusCode
 from ..remote.network import NetworkLink
 from ..remote.target import RemoteStorageTarget
 from ..sata.disk import SATADisk
-from ..sim import Event, SimulationError
-from .host_adaptor import ForwardRequest
+from ..sim import SimulationError
+from .host_adaptor import ForwardRequest, SlotBase
 
 if TYPE_CHECKING:  # pragma: no cover
     from .host_adaptor import HostAdaptor
@@ -34,36 +34,21 @@ SQE_WIRE_BYTES = 64
 RESPONSE_WIRE_BYTES = 16
 
 
-class ExtendedBackendSlot:
-    """Base slot: pause/drain machinery + PRP resolution, device-agnostic."""
+class ExtendedBackendSlot(SlotBase):
+    """Base slot for non-NVMe devices: PRP resolution, device-agnostic."""
 
     supports_firmware_upgrade = False
 
     def __init__(self, adaptor: "HostAdaptor", index: int, capacity_bytes: int,
                  name: str):
-        self.adaptor = adaptor
-        self.sim = adaptor.sim
-        self.index = index
+        super().__init__(adaptor, index, name)
         self.capacity_bytes = capacity_bytes
-        self.name = name
+        self._fwd_name = f"{name}.fwd"
+        self._replay_name = f"{name}.replay"
         self.ssd = None  # no NVMe drive behind this slot
-        self.paused = False
-        self.pause_buffer: list[ForwardRequest] = []
-        self.inflight = 0
-        self._drain_event: Optional[Event] = None
-        self.forwarded = 0
-        self.completed = 0
-        self.pending: dict[int, ForwardRequest] = {}
         self._next_tag = 0
 
     # ------------------------------------------------------------ forwarding
-    def forward(self, sqe: SQE, on_complete: Callable[[int], None]) -> None:
-        req = ForwardRequest(sqe, on_complete)
-        if self.paused:
-            self.pause_buffer.append(req)
-        else:
-            self.sim.start(self._run(req), name=f"{self.name}.fwd")
-
     def _run(self, req: ForwardRequest):
         if self.paused:
             self.pause_buffer.append(req)
@@ -79,38 +64,16 @@ class ExtendedBackendSlot:
             self.pending.pop(tag, None)
             self.inflight -= 1
             self.completed += 1
-            if self.inflight == 0 and self._drain_event is not None:
-                ev, self._drain_event = self._drain_event, None
-                ev.succeed()
+            self._settle_drain()
         req.on_complete(status)
+
+    _submit = _run
 
     def _issue(self, sqe: SQE):
         raise NotImplementedError  # pragma: no cover
 
-    # ------------------------------------------------------------- maintenance
-    def pause(self) -> None:
-        self.paused = True
-
-    def resume(self) -> None:
-        self.paused = False
-        buffered, self.pause_buffer = self.pause_buffer, []
-        for req in buffered:
-            self.sim.start(self._run(req), name=f"{self.name}.replay")
-
-    def drain(self) -> Event:
-        ev = self.sim.event(name=f"{self.name}.drained")
-        if self.inflight == 0:
-            ev.succeed()
-        else:
-            self._drain_event = ev
-        return ev
-
-    def io_context(self) -> dict:
-        return {
-            "sq_head": 0, "sq_tail": self.forwarded, "cq_head": self.completed,
-            "pending_cids": sorted(self.pending),
-            "buffered": len(self.pause_buffer),
-        }
+    def _ring_indices(self) -> tuple[int, int, int]:
+        return 0, self.forwarded, self.completed
 
     def forward_admin(self, sqe: SQE, on_complete: Callable[[int], None]) -> None:
         """Non-NVMe back ends have no admin queue."""

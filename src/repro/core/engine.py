@@ -30,12 +30,11 @@ from ..nvme.namespace import Namespace
 from ..nvme.prp import build_prps, prp_list_bytes, release_prps, walk_prps
 from ..nvme.spec import CQE_BYTES, LBA_BYTES, SQE_BYTES, IOOpcode, StatusCode
 from ..nvme.ssd import NVMeSSD
-from ..obs import IOSpan, MetricsRegistry
+from ..obs import IOSpan
 from ..pcie.fabric import PCIeFabric
 from ..sim import BandwidthLink, Event, SimulationError, Simulator
 from .axi import AXIBus
 from .dma_routing import (
-    DMA_MODELS,
     DescriptorRingDMA,
     RouteStats,
     decode_global_prp,
@@ -79,8 +78,6 @@ class EngineNamespace:
     table: MappingTable
     chunks: list[tuple[int, int]]  # (ssd_id, physical chunk index)
     bound_fn: Optional[int] = None
-    #: step-⑤ routing machinery for this namespace's DMA traffic
-    dma_model: str = "register"
 
 
 @dataclass
@@ -143,8 +140,6 @@ class BMSEngine:
         chip_memory_bytes: int = 512 * 1024 * 1024,
         chunk_bytes: int = CHUNK_BYTES,
         name: str = "bms",
-        obs: Optional[MetricsRegistry] = None,
-        checks=None,
     ):
         self.sim: Simulator = host.sim
         self.host = host
@@ -161,16 +156,16 @@ class BMSEngine:
         self.zero_copy = zero_copy
         self.chunk_bytes = chunk_bytes
         self.chunk_blocks = chunk_bytes // LBA_BYTES
-        self.obs = obs
+        #: the world's instruments (Simulator.arm), each None = dormant:
+        #: the metrics registry, the FaultInjector (hook points
+        #: engine.dispatch / engine.backend) and the prp checker
+        self.obs = self.sim.obs
+        self.faults = self.sim.faults
+        self.checks = self.sim.checker("prp")
         #: (ns_key, direction) -> (ops counter, bytes counter) handles,
         #: cached so per-IO accounting skips the labeled-key build
         self._ns_io_counters: dict = {}
         self.route_stats = RouteStats()
-        #: bound FaultInjector (hook points engine.dispatch /
-        #: engine.backend); None = dormant, zero-cost
-        self.faults = None
-        #: bound CheckContext (prp checker arms this); None = dormant
-        self.checks = None
         #: the optional features, each None until its armer runs; armed,
         #: they attach through ``self.hooks`` (core/hooks.py)
         self.volumes = None
@@ -179,8 +174,6 @@ class BMSEngine:
         self.passthrough = None
         self.hooks = EngineHooks(self)
         self._io_ops = self.hooks.opcodes["io"]
-        #: the full CheckContext, kept for binding tables/rings created later
-        self._check_ctx = checks
 
         # front end: one port on the host fabric
         self.front_port = host.fabric.attach(name, lanes=front_lanes)
@@ -199,29 +192,22 @@ class BMSEngine:
             push_ns=timings.adaptor_push_ns, cqe_relay_ns=timings.cqe_relay_ns,
         )
         self.adaptor.engine = self  # SATA/remote slots route DMA through us
-        self.adaptor.checks = checks  # slots bind their rings at creation
 
         # store-and-forward path for the zero-copy ablation: FPGA DRAM
         self._chip_dram_bus = BandwidthLink(
             self.sim, 6.0e9, name=f"{name}.dram"
         )
 
-        self.qos = QoSModule(self.sim, enabled=qos_enabled, obs=obs, checks=checks)
+        self.qos = QoSModule(self.sim, enabled=qos_enabled)
         self.target_controller = TargetController(self)
         self.axi = AXIBus(self.sim, name=f"{name}.axi")
 
         self.namespaces: dict[str, EngineNamespace] = {}
         self._free_chunks: list[list[int]] = []
         self._prp_pool = BufferPool(self.chip_memory)
-        if checks is not None:
-            checks.bind_engine(self)
-            checks.bind_pool(self._prp_pool)
         #: when the pipeline's one issue slot next frees (step ② entry)
         self._issue_free_at = 0
         self._fn_stats: dict[int, _FnStats] = {}
-        #: fn_id -> "descriptor" for namespaces on the ring-DMA model
-        #: (absent = the default register-triggered cut-through FSM)
-        self._dma_model_by_fn: dict[int, str] = {}
         self._desc_dma: Optional[DescriptorRingDMA] = None
         self.host_identify_pages: dict[int, object] = {}
         self.total_ios = 0
@@ -345,8 +331,7 @@ class BMSEngine:
         """Register namespace ``key`` over the given physical chunks: a
         fresh mapping table with one entry per chunk."""
         table = MappingTable(self.chunk_blocks, rows=max(1, -(-len(chunks) // 8)))
-        if self._check_ctx is not None:
-            self._check_ctx.bind_table(table)
+        table.checks = self.sim.checker("lba")
         for idx, (ssd_id, chunk) in enumerate(chunks):
             table.set_entry(idx, MappingEntry(base_chunk=chunk, ssd_id=ssd_id))
         ns = Namespace(nsid=1, num_blocks=num_blocks)
@@ -380,8 +365,6 @@ class BMSEngine:
         fn.namespaces[1] = ens.namespace
         fn.ns_key = key
         ens.bound_fn = fn_id
-        if ens.dma_model == "descriptor":
-            self._dma_model_by_fn[fn_id] = "descriptor"
         self._fn_stats.setdefault(fn_id, _FnStats())
         return fn
 
@@ -389,23 +372,8 @@ class BMSEngine:
         ens = self.namespaces.get(key)
         if ens is None or ens.bound_fn is None:
             return
-        self._dma_model_by_fn.pop(ens.bound_fn, None)
         self.sriov.function_by_id(ens.bound_fn).unbind()
         ens.bound_fn = None
-
-    def set_dma_model(self, key: str, model: str) -> None:
-        """Pick the step-⑤ DMA machinery for one namespace's traffic."""
-        if model not in DMA_MODELS:
-            raise SimulationError(f"dma model {model!r} not one of {DMA_MODELS}")
-        ens = self.namespaces.get(key)
-        if ens is None:
-            raise SimulationError(f"no namespace {key}")
-        ens.dma_model = model
-        if ens.bound_fn is not None:
-            if model == "descriptor":
-                self._dma_model_by_fn[ens.bound_fn] = "descriptor"
-            else:
-                self._dma_model_by_fn.pop(ens.bound_fn, None)
 
     # ------------------------------------------------------------ front path
     def on_front_doorbell(self, fn_id: int, qid: int) -> None:
@@ -623,10 +591,9 @@ class BMSEngine:
 
     def _route_dma_write(self, gaddr: int, length: int, data) -> None:
         """Step ⑤: SSD DMA write at a global address -> host memory."""
-        fn_id, host_addr, _ = decode_global_prp(gaddr)
-        self._check_fn(fn_id)
+        fn, host_addr = self._route_target(gaddr)
         self.route_stats.note_write(length)
-        if self._dma_model_by_fn.get(fn_id) == "descriptor":
+        if fn.dma_model == "descriptor":
             self._descriptor_engine().submit_write(host_addr, length, data)
             return
         self._route_write(host_addr, length, data, None)
@@ -664,8 +631,7 @@ class BMSEngine:
     def route_dma_write_event(self, gaddr: int, length: int, data) -> Event:
         """Like the TLP-triggered routing, but returns the delivery event
         (used by the SATA/remote adaptor stages, which need ordering)."""
-        fn_id, host_addr, _ = decode_global_prp(gaddr)
-        self._check_fn(fn_id)
+        _fn, host_addr = self._route_target(gaddr)
         self.route_stats.note_write(length)
         landed = self.sim.pooled_event(self._dmawv_name)
         self._route_write(host_addr, length, data, landed)
@@ -675,10 +641,9 @@ class BMSEngine:
         """Step ⑤ for writes: SSD DMA read at a global address.  The
         returned event stands in for the front-port read issued after
         the cut-through delay, which then resumes its waiters itself."""
-        fn_id, host_addr, _ = decode_global_prp(gaddr)
-        self._check_fn(fn_id)
+        fn, host_addr = self._route_target(gaddr)
         self.route_stats.note_read(length)
-        if self._dma_model_by_fn.get(fn_id) == "descriptor":
+        if fn.dma_model == "descriptor":
             return self._descriptor_engine().submit_read(host_addr, length)
         done = self.sim.pooled_event(self._dmar_name)
         if not self.zero_copy:
@@ -700,9 +665,13 @@ class BMSEngine:
         yield self._chip_dram_bus.transfer(length)
         done.succeed(data)
 
-    def _check_fn(self, fn_id: int) -> None:
-        if fn_id not in self.sriov.functions:
+    def _route_target(self, gaddr: int) -> tuple[FrontEndFunction, int]:
+        """The front-end function and host address a global PRP names."""
+        fn_id, host_addr, _ = decode_global_prp(gaddr)
+        fn = self.sriov.functions.get(fn_id)
+        if fn is None:
             raise SimulationError(f"DMA routed to unknown function {fn_id}")
+        return fn, host_addr
 
     # ------------------------------------------------------------- completion
     def post_front_cqe(self, fn: FrontEndFunction, qid: int, cid: int,

@@ -6,9 +6,10 @@ commands, rings the SSD's doorbell over the back-end PCIe domain, and
 hands completions back to the engine when the SSD DMA-writes CQEs into
 the adaptor CQ.
 
-It also implements the per-slot pause/drain/resume machinery that
-hot-upgrade and hot-plug use: while paused, forwarded commands are held
-in a pending buffer (the *I/O context*), and nothing reaches the SSD.
+:class:`SlotBase` holds the per-slot pause/drain/resume machinery that
+hot-upgrade and hot-plug use, for NVMe and extended slots alike: while
+paused, forwarded commands are held in a pending buffer (the *I/O
+context*), and nothing reaches the device.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from ..nvme.spec import StatusCode
 from ..nvme.ssd import NVMeSSD
 from ..sim import Event, Resource, SimulationError, Simulator
 
-__all__ = ["BackendSlot", "HostAdaptor"]
+__all__ = ["SlotBase", "BackendSlot", "HostAdaptor"]
 
 BACKEND_QUEUE_DEPTH = 1024
 BACKEND_QID = 1
@@ -38,23 +39,83 @@ class ForwardRequest:
         self.on_complete = on_complete  # called with the CQE status
 
 
-class BackendSlot:
-    """One back-end SSD attachment point."""
+class SlotBase:
+    """What every back-end slot type shares: forwarding through the
+    pause gate, and the pause/drain/resume machinery.
 
-    def __init__(self, adaptor: "HostAdaptor", index: int, ssd: NVMeSSD):
+    While paused, forwarded commands wait in ``pause_buffer`` (the *I/O
+    context*) and nothing reaches the device.  A slot type supplies
+    ``_submit``, the generator that moves one request to its device.
+    """
+
+    _fwd_name = "slot.fwd"
+    _replay_name = "slot.replay"
+
+    def __init__(self, adaptor: "HostAdaptor", index: int, name: str):
         self.adaptor = adaptor
-        self.index = index
-        self.ssd: Optional[NVMeSSD] = ssd
         self.sim = adaptor.sim
+        self.index = index
+        self.name = name
         self.paused = False
         self.pause_buffer: list[ForwardRequest] = []
         self.inflight = 0
         self._drain_event: Optional[Event] = None
-        self._next_cid = 0
         self.pending: dict[int, ForwardRequest] = {}
-        self.slots = Resource(self.sim, BACKEND_QUEUE_DEPTH - 1, name=f"bslot{index}")
         self.forwarded = 0
         self.completed = 0
+
+    def forward(self, sqe: SQE, on_complete: Callable[[int], None]) -> None:
+        """Queue a remapped command toward this slot (engine step ③)."""
+        req = ForwardRequest(sqe, on_complete)
+        if self.paused:
+            self.pause_buffer.append(req)
+        else:
+            self.sim.start(self._submit(req), name=self._fwd_name)
+
+    def pause(self) -> None:
+        self.paused = True
+
+    def resume(self) -> None:
+        self.paused = False
+        buffered, self.pause_buffer = self.pause_buffer, []
+        for req in buffered:
+            self.sim.start(self._submit(req), name=self._replay_name)
+
+    def drain(self) -> Event:
+        """Event firing when no commands remain at the device."""
+        ev = self.sim.event(name=f"{self.name}.drained")
+        if self.inflight == 0:
+            ev.succeed()
+        else:
+            self._drain_event = ev
+        return ev
+
+    def _settle_drain(self) -> None:
+        """Fire a waiting drain once nothing is in flight."""
+        if self.inflight == 0 and self._drain_event is not None:
+            ev, self._drain_event = self._drain_event, None
+            ev.succeed()
+
+    def io_context(self) -> dict:
+        """The I/O context stored before an upgrade (paper §IV-D)."""
+        sq_head, sq_tail, cq_head = self._ring_indices()
+        return {
+            "sq_head": sq_head,
+            "sq_tail": sq_tail,
+            "cq_head": cq_head,
+            "pending_cids": sorted(self.pending),
+            "buffered": len(self.pause_buffer),
+        }
+
+
+class BackendSlot(SlotBase):
+    """One back-end SSD attachment point."""
+
+    def __init__(self, adaptor: "HostAdaptor", index: int, ssd: NVMeSSD):
+        super().__init__(adaptor, index, f"slot{index}")
+        self.ssd: Optional[NVMeSSD] = ssd
+        self._next_cid = 0
+        self.slots = Resource(self.sim, BACKEND_QUEUE_DEPTH - 1, name=f"bslot{index}")
         mem = adaptor.chip_memory
         self.sq = SubmissionQueue(
             mem, mem.alloc(BACKEND_QUEUE_DEPTH * 64), BACKEND_QUEUE_DEPTH,
@@ -73,9 +134,6 @@ class BackendSlot:
         self._admin_pending: dict[int, Callable[[int], None]] = {}
         self._next_admin_cid = 0
         adaptor._register_admin_cq_range(self)
-        if adaptor.checks is not None:
-            for ring in (self.sq, self.cq, self.admin_sq, self.admin_cq):
-                adaptor.checks.bind_ring(ring)
         self._bind_ssd(ssd)
 
     def _bind_ssd(self, ssd: NVMeSSD) -> None:
@@ -118,9 +176,7 @@ class BackendSlot:
         admin_failed, self._admin_pending = self._admin_pending, {}
         for cid in sorted(admin_failed):
             admin_failed[cid](int(StatusCode.NAMESPACE_NOT_READY))
-        if self.inflight == 0 and self._drain_event is not None:
-            ev, self._drain_event = self._drain_event, None
-            ev.succeed()
+        self._settle_drain()
         return removed
 
     # ---------------------------------------------------------- admin path
@@ -163,44 +219,10 @@ class BackendSlot:
             for hook in self.adaptor.engine.hooks.slot_attach:
                 hook(self.index, ssd)
 
-    # ------------------------------------------------------ pause machinery
-    def pause(self) -> None:
-        self.paused = True
-
-    def resume(self) -> None:
-        self.paused = False
-        buffered, self.pause_buffer = self.pause_buffer, []
-        for req in buffered:
-            self.sim.start(self._forward_now(req), name="slot.replay")
-
-    def drain(self) -> Event:
-        """Event firing when no commands remain at the SSD."""
-        ev = self.sim.event(name=f"slot{self.index}.drained")
-        if self.inflight == 0:
-            ev.succeed()
-        else:
-            self._drain_event = ev
-        return ev
-
-    def io_context(self) -> dict:
-        """The I/O context stored before an upgrade (paper §IV-D)."""
-        return {
-            "sq_head": self.sq.head,
-            "sq_tail": self.sq.tail,
-            "cq_head": self.cq.head,
-            "pending_cids": sorted(self.pending),
-            "buffered": len(self.pause_buffer),
-        }
+    def _ring_indices(self) -> tuple[int, int, int]:
+        return self.sq.head, self.sq.tail, self.cq.head
 
     # ------------------------------------------------------------ forwarding
-    def forward(self, sqe: SQE, on_complete: Callable[[int], None]) -> None:
-        """Queue a remapped command toward this SSD (engine step ③)."""
-        req = ForwardRequest(sqe, on_complete)
-        if self.paused:
-            self.pause_buffer.append(req)
-        else:
-            self.sim.start(self._forward_now(req), name="slot.fwd")
-
     def _forward_now(self, req: ForwardRequest):
         if self.paused:
             self.pause_buffer.append(req)
@@ -225,6 +247,8 @@ class BackendSlot:
         # posted: the forwarder is done once the doorbell is on the wire
         self.adaptor.backend_fabric.cpu_write(self.ssd.doorbell_addr(BACKEND_QID), 4)
 
+    _submit = _forward_now
+
     # ------------------------------------------------------------ completion
     def on_cq_write(self) -> None:
         """The engine saw a DMA write land in this slot's CQ range."""
@@ -246,9 +270,7 @@ class BackendSlot:
             self.inflight -= 1
             self.completed += 1
             self.slots.release()
-            if self.inflight == 0 and self._drain_event is not None:
-                ev, self._drain_event = self._drain_event, None
-                ev.succeed()
+            self._settle_drain()
             ctx.on_complete(cqe.status)
             # the forwarded command round-tripped: both ring entries are
             # consumed and the device-side coroutine has exited, so the
@@ -273,9 +295,8 @@ class HostAdaptor:
         self.backend_fabric = backend_fabric
         self.push_ns = push_ns
         self.cqe_relay_ns = cqe_relay_ns
-        self.slots: list = []  # BackendSlot | ExtendedBackendSlot
+        self.slots: list[SlotBase] = []
         self.engine = None  # set by the owning BMSEngine
-        self.checks = None  # CheckContext; slots bind their rings when set
         self._cq_ranges: list[tuple[int, int, BackendSlot]] = []
         self._admin_cq_ranges: list[tuple[int, int, BackendSlot]] = []
 

@@ -93,7 +93,8 @@ class MappingTable:
         self.translations = 0
         self.extent_splits = 0
         self.faults = 0
-        #: bound CheckContext (lba checker); None = dormant, zero-cost
+        #: the world's CheckContext (lba checker), set by the engine that
+        #: builds the table; None = dormant, zero-cost
         self.checks = None
 
     # ------------------------------------------------------------ provisioning

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..obs import MetricsRegistry
 from ..sim import Event, Simulator, Store, TokenBucket
 
 __all__ = ["QoSLimits", "QoSModule"]
@@ -48,11 +47,10 @@ class QoSLimits:
 class _NamespaceQoS:
     """Buckets + command buffer + dispatcher for one namespace."""
 
-    def __init__(self, sim: Simulator, ns_key: str, limits: QoSLimits,
-                 obs: Optional[MetricsRegistry] = None):
+    def __init__(self, sim: Simulator, ns_key: str, limits: QoSLimits):
         self.sim = sim
         self.ns_key = ns_key
-        self.obs = obs
+        self.obs = obs = sim.obs
         self.limits = limits
         self.iops_bucket = TokenBucket(
             sim, limits.max_iops, limits.burst_ios, name=f"qos.{ns_key}.iops"
@@ -64,8 +62,8 @@ class _NamespaceQoS:
         self.buffered_total = 0
         self.passed_total = 0
         self._dispatcher_running = False
-        #: bound CheckContext (qos checker); None = dormant, zero-cost
-        self.checks = None
+        #: the world's CheckContext (qos checker); None = dormant, zero-cost
+        self.checks = sim.checker("qos")
         if obs is not None:
             self._c_passed = obs.counter("qos_passed", ns=ns_key)
             self._c_buffered = obs.counter("qos_buffered", ns=ns_key)
@@ -133,19 +131,13 @@ class _NamespaceQoS:
 class QoSModule:
     """The engine-level QoS stage: routes commands per namespace."""
 
-    def __init__(self, sim: Simulator, enabled: bool = True,
-                 obs: Optional[MetricsRegistry] = None, checks=None):
+    def __init__(self, sim: Simulator, enabled: bool = True):
         self.sim = sim
         self.enabled = enabled
-        self.obs = obs
-        self.checks = checks
         self._per_ns: dict[str, _NamespaceQoS] = {}
 
     def configure(self, ns_key: str, limits: QoSLimits) -> None:
-        nsq = _NamespaceQoS(self.sim, ns_key, limits, obs=self.obs)
-        if self.checks is not None:
-            self.checks.bind_qos(nsq)
-        self._per_ns[ns_key] = nsq
+        self._per_ns[ns_key] = _NamespaceQoS(self.sim, ns_key, limits)
 
     def forget(self, ns_key: str) -> None:
         """Drop a deleted namespace's limits.  Commands its buffer still

@@ -46,6 +46,9 @@ class FrontEndFunction:
         #: PassthroughBinding when this function's I/O queues are mapped
         #: straight onto a back-end SSD; None = fully interposed
         self.passthrough = None
+        #: step-⑤ routing machinery for this function's DMA traffic: the
+        #: register-triggered cut-through FSM, or "descriptor" rings
+        self.dma_model = "register"
 
     @property
     def is_vf(self) -> bool:

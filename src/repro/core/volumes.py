@@ -75,11 +75,9 @@ class VolumeManager:
         self.cow_faults = 0
         self.clones_created = 0
         self.snapshots_created = 0
-        #: bound CheckContext (lba checker shadows refcounts); None = dormant
-        self.checks = None
-        ctx = engine._check_ctx
-        if ctx is not None:
-            ctx.bind_volumes(self)
+        #: the world's CheckContext (lba checker shadows refcounts);
+        #: None = dormant
+        self.checks = engine.sim.checker("lba")
         # existing namespaces become base volumes immediately so their
         # chunks are refcounted before any snapshot/clone touches them
         for key in sorted(engine.namespaces):

@@ -29,7 +29,7 @@ from ..baselines import (
     build_vfio,
 )
 from ..baselines.registry import runnable_schemes
-from ..checks import CheckContext, resolve_checks
+from ..checks import CheckContext
 from ..faults import FaultPlan
 from ..host.driver import NVMeDriver
 from ..host.kernel_profile import DEFAULT_KERNEL, KernelProfile
@@ -216,26 +216,25 @@ class CaseResult:
         return getattr(self.fio, "errors", 0)
 
 
-def _finish(sim, run: FioRun) -> FioResult:
+#: a scheme runner's result: the measurement and the world's checkers
+_Run = tuple[FioResult, Optional[CheckContext]]
+
+
+def _finish(sim, run: FioRun) -> _Run:
     sim.run(run.finished)
     result = run.result()
     result.sim_events = sim.events_processed
-    return result
+    return result, sim.check_context
 
 
 def _scheme_native(spec: FioSpec, *, seed: int, kernel: KernelProfile,
                    obs: MetricsRegistry, num_ssds: int = 1,
                    faults: Optional[FaultPlan] = None,
-                   checks=None, policy=None) -> FioResult:
+                   checks=None, policy=None) -> _Run:
     """Bare-metal: the host NVMe driver directly on physical drives."""
     rig = build_native(num_ssds=num_ssds, seed=seed, kernel=kernel, obs=obs,
                        faults=faults, checks=checks, policy=policy)
     return _finish(rig.sim, FioRun(rig.sim, rig.drivers, spec, rig.streams))
-
-
-def _apply_dma_model(rig: BMStoreRig, key: str, policy) -> None:
-    if policy is not None and policy.dma != "register":
-        rig.engine.set_dma_model(key, policy.dma)
 
 
 def _bmstore_baremetal(num_ssds: int, seed: int, kernel: KernelProfile,
@@ -246,13 +245,12 @@ def _bmstore_baremetal(num_ssds: int, seed: int, kernel: KernelProfile,
                         **rig_kwargs)
     size = min(BM_NAMESPACE_BYTES, num_ssds * 28 * 64 * GIB)
     fn = rig.provision("ns0", size)
-    _apply_dma_model(rig, "ns0", policy)
     return rig, rig.baremetal_driver(fn, policy=policy)
 
 
 def _scheme_bmstore(spec: FioSpec, *, seed: int, kernel: KernelProfile,
                     obs: MetricsRegistry, num_ssds: int = 1,
-                    policy=None, **rig_kwargs) -> FioResult:
+                    policy=None, **rig_kwargs) -> _Run:
     """Bare-metal BM-Store: host driver on an engine PF/VF namespace."""
     rig, driver = _bmstore_baremetal(num_ssds, seed, kernel, obs=obs,
                                      policy=policy, **rig_kwargs)
@@ -261,7 +259,7 @@ def _scheme_bmstore(spec: FioSpec, *, seed: int, kernel: KernelProfile,
 
 def _scheme_passthrough(spec: FioSpec, *, seed: int, kernel: KernelProfile,
                         obs: MetricsRegistry, num_ssds: int = 1,
-                        policy=None, **rig_kwargs) -> FioResult:
+                        policy=None, **rig_kwargs) -> _Run:
     """Bare-metal BM-Store with I/O-queue passthrough: the engine maps
     the function's SQ/CQ pairs straight onto the backing SSD and only
     relays doorbells — no per-command interposition (arXiv 2304.05148
@@ -271,7 +269,6 @@ def _scheme_passthrough(spec: FioSpec, *, seed: int, kernel: KernelProfile,
     size = min(BM_NAMESPACE_BYTES, 28 * 64 * GIB)
     fn = rig.provision("ns0", size, placement=[0] * -(-size // rig.engine.chunk_bytes))
     rig.engine.passthrough_mode().enable("ns0")
-    _apply_dma_model(rig, "ns0", policy)
     driver = rig.baremetal_driver(fn, policy=policy)
     return _finish(rig.sim, FioRun(rig.sim, [driver], spec, rig.streams))
 
@@ -279,7 +276,7 @@ def _scheme_passthrough(spec: FioSpec, *, seed: int, kernel: KernelProfile,
 def _scheme_vfio_vm(spec: FioSpec, *, seed: int, kernel: KernelProfile,
                     obs: MetricsRegistry,
                     faults: Optional[FaultPlan] = None,
-                    checks=None, policy=None) -> FioResult:
+                    checks=None, policy=None) -> _Run:
     """In-VM on a VFIO-assigned whole drive."""
     rig = build_vfio(num_vms=1, seed=seed, kernel=kernel, guest_kernel=kernel,
                      obs=obs, faults=faults, checks=checks, policy=policy)
@@ -289,13 +286,12 @@ def _scheme_vfio_vm(spec: FioSpec, *, seed: int, kernel: KernelProfile,
 def _scheme_bmstore_vm(spec: FioSpec, *, seed: int, kernel: KernelProfile,
                        obs: MetricsRegistry, num_ssds: int = 1,
                        faults: Optional[FaultPlan] = None,
-                       checks=None, policy=None) -> FioResult:
+                       checks=None, policy=None) -> _Run:
     """In-VM on a BM-Store VF."""
     rig = build_bmstore(num_ssds=num_ssds, seed=seed, kernel=kernel, obs=obs,
                         faults=faults, checks=checks)
     vm = VirtualMachine(rig.host, "vm0", guest_kernel=kernel)
     fn = rig.provision("ns0", BM_NAMESPACE_BYTES)
-    _apply_dma_model(rig, "ns0", policy)
     driver = rig.vm_driver(vm, fn, policy=policy)
     return _finish(rig.sim, FioRun(rig.sim, [driver], spec, rig.streams))
 
@@ -303,7 +299,7 @@ def _scheme_bmstore_vm(spec: FioSpec, *, seed: int, kernel: KernelProfile,
 def _scheme_spdk_vm(spec: FioSpec, *, seed: int, kernel: KernelProfile,
                     obs: MetricsRegistry, num_cores: int = 1,
                     faults: Optional[FaultPlan] = None,
-                    checks=None, policy=None) -> FioResult:
+                    checks=None, policy=None) -> _Run:
     """In-VM on an SPDK vhost virtio disk."""
     if policy is not None and not policy.is_default:
         # the registry declares it: vhost submission is virtio, not NVMe
@@ -320,7 +316,7 @@ def _scheme_spdk_vm(spec: FioSpec, *, seed: int, kernel: KernelProfile,
 #: in :mod:`repro.baselines.registry` — add a SchemeDef there first,
 #: then the runner here, and every experiment plus ``python -m repro
 #: fio/stats`` picks it up
-SCHEMES: dict[str, Callable[..., FioResult]] = {
+SCHEMES: dict[str, Callable[..., _Run]] = {
     "native": _scheme_native,
     "bmstore": _scheme_bmstore,
     "passthrough": _scheme_passthrough,
@@ -377,12 +373,8 @@ def run_case(
     pol = resolve_policy(policy)
     if obs is None:
         obs = MetricsRegistry(mode=obs_mode, span_sample=span_sample)
-    ctx = resolve_checks(checks, obs)
-    # pass False (not None) when disarmed so builders don't re-consult
-    # the environment and arm a second, unreported context
-    fio = runner(spec, seed=seed, kernel=kernel, obs=obs,
-                 checks=ctx if ctx is not None else False, policy=pol,
-                 **scheme_kwargs)
+    fio, ctx = runner(spec, seed=seed, kernel=kernel, obs=obs, checks=checks,
+                      policy=pol, **scheme_kwargs)
     return CaseResult(scheme=scheme, spec=spec, fio=fio, obs=obs,
                       snapshot=obs.snapshot(), checks=ctx)
 

@@ -1,9 +1,10 @@
 """Arms a :class:`FaultPlan` into a simulated world.
 
-The injector is the only live object in the fault layer.  Components
-expose **named hook points** that stay dormant (``self.faults is
-None`` — one attribute test, no allocation, no events) until an
-injector binds itself:
+The injector is the only live object in the fault layer.  A world arms
+it on its simulator (:meth:`~repro.sim.Simulator.arm`), and each part
+caches ``sim.faults`` when it is constructed.  Components expose
+**named hook points** that stay dormant (``self.faults is None`` — one
+attribute test, no allocation, no events) in an unarmed world:
 
 ========================  ==========================================
 hook point                faults delivered
@@ -17,8 +18,9 @@ hook point                faults delivered
 ========================  ==========================================
 
 Timeline faults (link flaps, width degrades, hot removes) run as sim
-processes started by :meth:`start`; per-command faults are pulled by
-the datapath at the hook points.  Every injected fault increments the
+processes started by :meth:`start`, which first rejects a plan whose
+targets the world lacks; per-command faults are pulled by the datapath
+at the hook points.  Every injected fault increments the
 ``faults_injected{kind,target}`` observability counter, is noted on
 the in-flight :class:`~repro.obs.spans.IOSpan` when one is present,
 and is logged to the bound BMS-Controller's fault log (visible out of
@@ -64,10 +66,9 @@ def _matches(spec: FaultSpec, name: str) -> bool:
 
 
 class FaultInjector:
-    def __init__(self, sim: Simulator, plan: FaultPlan, obs=None):
+    def __init__(self, sim: Simulator, plan: FaultPlan):
         self.sim = sim
         self.plan = plan
-        self.obs = obs
         by_kind = lambda k: [s for s in plan.specs if s.kind == k]
         self._media = [_Armed(s) for s in by_kind("media_error")]
         self._die_stalls = by_kind("die_stall")
@@ -84,22 +85,29 @@ class FaultInjector:
         self.injected = 0
         self._started = False
 
-    # -------------------------------------------------------------- binding
-    def bind_ssd(self, ssd) -> None:
-        ssd.faults = self
+    # ------------------------------------------------------------ timeline
+    def start(self, fabrics, engine=None, controller=None) -> None:
+        """Launch the timeline processes against the world's PCIe
+        ``fabrics`` and BMS ``engine``/``controller`` (idempotent).
 
-    def bind_engine(self, engine, controller=None) -> None:
-        engine.faults = self
-        self.engine = engine
-        self.controller = controller
-
-    def bind_fabric(self, fabric) -> None:
-        self._fabrics.append(fabric)
-
-    def start(self) -> None:
-        """Launch the timeline processes (idempotent)."""
+        Raises ValueError, before anything runs, when a timeline fault
+        names a port no fabric has, or needs an engine slot the world
+        lacks."""
         if self._started:
             return
+        self._fabrics = list(fabrics)
+        for spec in self._timeline:
+            if spec.kind != "hot_remove":
+                self._port(spec.target)
+            elif engine is None:
+                raise ValueError("hot_remove fault needs a BMS engine; "
+                                 "this world has none")
+            elif not 0 <= int(spec.target) < len(engine.adaptor.slots):
+                raise ValueError(f"hot_remove fault names backend slot "
+                                 f"{spec.target}; the engine has "
+                                 f"{len(engine.adaptor.slots)}")
+        self.engine = engine
+        self.controller = controller
         self._started = True
         for spec in self._timeline:
             self.sim.spawn(self._timeline_proc(spec), name=f"fault.{spec.kind}")
@@ -107,8 +115,9 @@ class FaultInjector:
     # ------------------------------------------------------------ recording
     def _record(self, kind: str, target: str, span=None) -> None:
         self.injected += 1
-        if self.obs is not None:
-            self.obs.counter("faults_injected", kind=kind, target=target).inc()
+        obs = self.sim.obs
+        if obs is not None:
+            obs.counter("faults_injected", kind=kind, target=target).inc()
         if span is not None:
             span.note_fault(kind)
         if self.controller is not None:
@@ -196,7 +205,7 @@ class FaultInjector:
                 return fabric.port(name)
             except SimulationError:
                 continue
-        raise SimulationError(f"fault plan references unknown PCIe port {name!r}")
+        raise ValueError(f"fault plan references unknown PCIe port {name!r}")
 
     def _timeline_proc(self, spec: FaultSpec):
         if spec.at_ns > self.sim.now:
@@ -213,8 +222,6 @@ class FaultInjector:
                 yield self.sim.timeout(spec.duration_ns)
                 port.set_lanes(original)
         elif spec.kind == "hot_remove":
-            if self.engine is None:
-                raise SimulationError("hot_remove fault needs a bound BMS engine")
             slot_id = int(spec.target)
             removed = self.engine.surprise_remove(slot_id)
             self._record("hot_remove", spec.target)

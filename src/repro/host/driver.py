@@ -21,7 +21,7 @@ from ..nvme.namespace import Namespace
 from ..nvme.prp import build_prps, pages_for, release_prps
 from ..nvme.queues import CompletionQueue, QueuePair, SubmissionQueue
 from ..nvme.spec import SQE_BYTES, AdminOpcode, IOOpcode, StatusCode
-from ..obs import IOSpan, MetricsRegistry
+from ..obs import IOSpan
 from ..pcie.function import PCIeFunction
 from ..sim import Event, Resource, SimulationError, Simulator, Store
 from .block import CompletionInfo
@@ -91,9 +91,7 @@ class NVMeDriver:
         lock_ns: Optional[int] = None,
         contended_lock_ns: Optional[int] = None,
         name: str = "nvme0",
-        obs: Optional[MetricsRegistry] = None,
         fault_policy: Optional[DriverFaultPolicy] = None,
-        checks=None,
         policy: Optional[SubmissionPolicy] = None,
     ):
         self.sim: Simulator = host.sim
@@ -111,7 +109,7 @@ class NVMeDriver:
             contended_lock_ns if contended_lock_ns is not None else self.lock_ns
         )
         self.stats = DriverStats()
-        self.obs = obs
+        self.obs = obs = self.sim.obs
         # handles + names resolved once; the submission/completion path
         # must not rebuild labeled metric keys or f-strings per I/O
         self._io_event_name = name + ".io"
@@ -132,11 +130,7 @@ class NVMeDriver:
         # production-shaped error handling; None = legacy trusting path
         # with zero extra events per I/O
         self.fault_policy = fault_policy
-        #: CheckContext; rings/pool bind as the driver creates them
-        self.checks = checks
         self._pool = BufferPool(host.memory)
-        if checks is not None:
-            checks.bind_pool(self._pool)
         self._lock = Resource(self.sim, 1, name=f"{name}.sqlock")
         self._pending: dict[tuple[int, int], dict[str, Any]] = {}
         #: recycled per-I/O context dicts; every key is overwritten on
@@ -162,9 +156,6 @@ class NVMeDriver:
         sq = SubmissionQueue(mem, mem.alloc(depth * 64), depth, sqid=qid, cqid=qid)
         sq.on_reclaim = self._note_reclaims
         cq = CompletionQueue(mem, mem.alloc(depth * 16), depth, cqid=qid)
-        if self.checks is not None:
-            self.checks.bind_ring(sq)
-            self.checks.bind_ring(cq)
         if qid != 0:
             # the admin queue always runs the classic immediate path
             if self.policy.doorbell == "shadow":

@@ -43,8 +43,8 @@ class BufferPool:
         self._free: dict[int, list[int]] = {}
         #: spilled (tier-resident) free buckets, only populated when armed
         self._free_tier: dict[int, list[int]] = {}
-        #: bound CheckContext (prp checker); None = dormant, zero-cost
-        self.checks = None
+        #: the world's CheckContext (prp checker); None = dormant, zero-cost
+        self.checks = memory.sim.checker("prp")
         #: bound CXLBufferTier (spill/borrow); None = dormant, zero-cost
         self.tier = None
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..obs import MetricsRegistry
 from ..sim import Simulator
 from .driver import NVMeControllerTarget, NVMeDriver
 from .environment import Host
@@ -64,9 +63,7 @@ class VirtualMachine:
         nsid: int = 1,
         num_io_queues: Optional[int] = None,
         queue_depth: int = 1024,
-        obs: Optional[MetricsRegistry] = None,
         fault_policy=None,
-        checks=None,
         policy=None,
     ) -> NVMeDriver:
         """Attach a passthrough NVMe controller (VFIO or BM-Store VF)."""
@@ -83,9 +80,7 @@ class VirtualMachine:
             lock_ns=self.guest_kernel.submit_lock_ns,
             contended_lock_ns=contended,
             name=f"{self.name}.nvme",
-            obs=obs,
             fault_policy=fault_policy,
-            checks=checks,
             policy=policy,
         )
         self.drivers.append(driver)

@@ -38,8 +38,8 @@ class SubmissionQueue:
         self.cqid = cqid
         self.tail = 0
         self.head = 0
-        #: bound CheckContext (ring checker); None = dormant, zero-cost
-        self.checks = None
+        #: the world's CheckContext (ring checker); None = dormant, zero-cost
+        self.checks = memory.sim.checker("ring")
         # shadow-doorbell state (NVMe shadow doorbell convention): the
         # producer publishes the tail here instead of an MMIO write, and
         # only rings when the consumer armed the wakeup after idling
@@ -199,8 +199,8 @@ class CompletionQueue:
         self._device_phase = 1
         self._host_phase = 1
         self.irq_vector: Optional[int] = None
-        #: bound CheckContext (ring checker); None = dormant, zero-cost
-        self.checks = None
+        #: the world's CheckContext (ring checker); None = dormant, zero-cost
+        self.checks = memory.sim.checker("ring")
         # interrupt-coalescing configuration (NVMe Set Features style):
         # written by the driver at queue setup, consulted by the device
         self.coalesce_threshold = 1

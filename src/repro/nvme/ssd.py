@@ -119,11 +119,11 @@ class NVMeSSD:
         self._data_ranges_written = False
         #: failure injection: LBAs whose media reads fail (grown defects)
         self.bad_lbas: set[int] = set()
-        #: bound FaultInjector (hook points ssd.media / ssd.fetch /
+        #: the world's FaultInjector (hook points ssd.media / ssd.fetch /
         #: ssd.firmware); None = dormant, zero-cost
-        self.faults = None
-        #: bound CheckContext (prp checker); None = dormant, zero-cost
-        self.checks = None
+        self.faults = sim.faults
+        #: the world's CheckContext (prp checker); None = dormant, zero-cost
+        self.checks = sim.checker("prp")
         # firmware-activation gate
         self._paused = False
         #: bumped on every surprise removal; an execution started in an

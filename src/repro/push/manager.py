@@ -130,11 +130,8 @@ class PushManager:
         self.costs = costs
         self.programs: dict[str, InstalledProgram] = {}
         self.programs_installed = 0
-        #: bound CheckContext (push checker); None = dormant, zero-cost
-        self.checks = None
-        ctx = engine._check_ctx
-        if ctx is not None:
-            ctx.bind_push(self)
+        #: the world's CheckContext (push checker); None = dormant, zero-cost
+        self.checks = engine.sim.checker("push")
         hooks = engine.hooks
         hooks.ns_teardown.append(
             lambda ens, _freeable: self.programs.pop(ens.key, None))

@@ -495,11 +495,33 @@ class Simulator:
         self._process_pool: list[Process] = []
         self.events_processed = 0
         self.strict = strict
-        #: bound CheckContext (kernel checker); None = dormant, zero-cost
+        #: the world's instruments, set once by :meth:`arm`; every part
+        #: built on this simulator caches its own at construction
+        self.obs = None
+        self.faults = None
+        self.check_context = None
+        #: the kernel checker's dispatch hook; None = dormant, zero-cost
         self.checks = None
         #: the never-scheduled trigger :meth:`start` resumes a process with
         self._kick = Event(self, name="start")
         self._kick._triggered = True
+
+    # -- instruments ------------------------------------------------------
+    def arm(self, obs=None, checks=None, faults=None) -> None:
+        """Arm the world's instruments: a ``MetricsRegistry``, a
+        ``CheckContext`` and a ``FaultInjector`` (each may be None).
+
+        Parts read them when they are constructed, so a world arms once,
+        before it builds anything."""
+        self.obs = obs
+        self.faults = faults
+        self.check_context = checks
+        self.checks = self.checker("kernel")
+
+    def checker(self, name: str):
+        """The armed ``CheckContext`` if it runs checker ``name``, else None."""
+        ctx = self.check_context
+        return ctx if ctx is not None and name in ctx.enabled else None
 
     # -- event factories --------------------------------------------------
     def event(self, name: str = "") -> Event:

@@ -10,8 +10,11 @@ from repro.obs import MetricsRegistry
 from repro.sim import SimulationError, Simulator
 
 
-def make_mem():
+def make_mem(ctx=None):
+    """A memory on a simulator with ``ctx`` armed (parts built on it
+    read their checkers there)."""
     sim = Simulator()
+    sim.arm(checks=ctx)
     return sim, HostMemory(sim, 1 << 30)
 
 
@@ -60,9 +63,8 @@ def test_violation_is_simulation_error_and_carries_context():
 def test_counts_flow_into_obs_counters():
     obs = MetricsRegistry()
     ctx = CheckContext(checkers=["ring"], obs=obs)
-    _, mem = make_mem()
+    _, mem = make_mem(ctx)
     sq = SubmissionQueue(mem, mem.alloc(8 * 64), 8, sqid=1)
-    ctx.bind_ring(sq)
     sq.push(SQE(opcode=2, cid=0, nsid=1))
     sq.consume_addr()
     assert ctx.summary() == {"ring": 2}
@@ -72,18 +74,17 @@ def test_counts_flow_into_obs_counters():
 
 def test_bind_respects_checker_subset():
     ctx = CheckContext(checkers=["lba"])
-    _, mem = make_mem()
+    _, mem = make_mem(ctx)
+    # ring checker not armed: the ring must stay dormant
     sq = SubmissionQueue(mem, mem.alloc(8 * 64), 8, sqid=1)
-    ctx.bind_ring(sq)  # ring checker not armed: must stay dormant
     assert sq.checks is None
 
 
 # ------------------------------------------------------------------ ring
 def ring_world():
-    sim, mem = make_mem()
     ctx = CheckContext(checkers=["ring"])
+    sim, mem = make_mem(ctx)
     cq = CompletionQueue(mem, mem.alloc(4 * 16), 4, cqid=1)
-    ctx.bind_ring(cq)
     return ctx, cq
 
 
@@ -120,10 +121,9 @@ def test_ring_checker_detects_stale_phase_poll():
 
 
 def test_ring_checker_detects_underflow():
-    sim, mem = make_mem()
     ctx = CheckContext(checkers=["ring"])
+    sim, mem = make_mem(ctx)
     sq = SubmissionQueue(mem, mem.alloc(4 * 64), 4, sqid=1)
-    ctx.bind_ring(sq)
     with pytest.raises(InvariantViolation, match="underflow"):
         sq.consume_addr()
 
@@ -149,10 +149,9 @@ def test_prp_checker_rejects_short_chain():
 
 
 def test_prp_checker_detects_double_free_and_freed_reuse():
-    sim, mem = make_mem()
     ctx = CheckContext(checkers=["prp"])
+    sim, mem = make_mem(ctx)
     pool = BufferPool(mem)
-    ctx.bind_pool(pool)
     addr = pool.get(PAGE_SIZE)
     pool.put(addr, PAGE_SIZE)
     with pytest.raises(InvariantViolation, match="double free"):
@@ -169,7 +168,7 @@ def test_prp_checker_detects_double_free_and_freed_reuse():
 def test_lba_checker_detects_non_injective_mapping():
     ctx = CheckContext(checkers=["lba"])
     table = MappingTable(chunk_blocks=1 << 20)
-    ctx.bind_table(table)
+    table.checks = ctx
     table.set_entry(0, MappingEntry(base_chunk=5, ssd_id=1))
     table.set_entry(1, MappingEntry(base_chunk=6, ssd_id=1))
     with pytest.raises(InvariantViolation, match="injective") as exc:
@@ -180,7 +179,7 @@ def test_lba_checker_detects_non_injective_mapping():
 def test_lba_checker_allows_remap_after_clear():
     ctx = CheckContext(checkers=["lba"])
     table = MappingTable(chunk_blocks=1 << 20)
-    ctx.bind_table(table)
+    table.checks = ctx
     table.set_entry(0, MappingEntry(base_chunk=5, ssd_id=1))
     table.clear_entry(0)
     table.set_entry(3, MappingEntry(base_chunk=5, ssd_id=1))  # chunk is free again
@@ -192,7 +191,7 @@ def test_lba_checker_allows_remap_after_clear():
 def test_lba_checker_validates_translation_outputs():
     ctx = CheckContext(checkers=["lba"])
     table = MappingTable(chunk_blocks=1 << 20)
-    ctx.bind_table(table)
+    table.checks = ctx
     table.set_entry(0, MappingEntry(base_chunk=2, ssd_id=3))
     ssd_id, plba = table.translate(12345)
     assert (ssd_id, plba % table.chunk_blocks) == (3, 12345)
@@ -206,7 +205,7 @@ def test_lba_checker_validates_translation_outputs():
 def test_kernel_checker_counts_dispatches():
     sim = Simulator()
     ctx = CheckContext(checkers=["kernel"])
-    ctx.bind_sim(sim)
+    sim.arm(checks=ctx)
 
     def proc():
         for _ in range(5):
@@ -221,7 +220,7 @@ def test_kernel_checker_counts_dispatches():
 def test_kernel_checker_detects_backwards_clock():
     sim = Simulator()
     ctx = CheckContext(checkers=["kernel"])
-    ctx.bind_sim(sim)
+    sim.arm(checks=ctx)
     event = sim.event(name="probe")
     sim.now = 100
     ctx.on_event_dispatch(sim, event)

@@ -202,7 +202,7 @@ def test_checker_follows_buffers_across_tiers():
 
     ctx = CheckContext(checkers=["prp"])
     engine, tier, pool = small_tier(chip_pages=1, window_pages=2)
-    ctx.bind_pool(pool)
+    pool.checks = ctx
     pool.get(PAGE_SIZE)
     spilled = pool.get(PAGE_SIZE)
     assert tier.window.contains(spilled)

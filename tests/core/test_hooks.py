@@ -103,7 +103,7 @@ def _all_armed_world():
         "clone": rig.baremetal_driver(engine.bind_namespace("clone", 40)),
         "kv": rig.baremetal_driver(kv),
         # passthrough recovers only by driver timeout
-        "pt": NVMeDriver(rig.host, pt, name="pt", checks=rig.checks,
+        "pt": NVMeDriver(rig.host, pt, name="pt",
                          fault_policy=DriverFaultPolicy(
                              timeout_ns=4 * MS, max_retries=2,
                              backoff_base_ns=250_000, backoff_cap_ns=MS)),

@@ -159,7 +159,7 @@ def test_cleared_entry_reads_back_zero_under_checker():
 
     table = MappingTable(chunk_blocks=CHUNK_BLOCKS)
     ctx = CheckContext(checkers=["lba"])
-    ctx.bind_table(table)
+    table.checks = ctx
     table.set_entry(0, MappingEntry(base_chunk=13, ssd_id=2))
     table.clear_entry(0)
     # translate hits the invalid entry; the checker inspects the raw

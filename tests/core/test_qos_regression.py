@@ -92,7 +92,8 @@ def test_qos_checker_detects_overtaking_when_fix_reverted(monkeypatch):
     monkeypatch.setattr(_NamespaceQoS, "admit", _prefix_admit)
     sim = Simulator()
     ctx = CheckContext(checkers=["qos"])
-    qos = QoSModule(sim, checks=ctx)
+    sim.arm(checks=ctx)
+    qos = QoSModule(sim)
     overtaking_world(qos)
     with pytest.raises(InvariantViolation, match="out of admission order") as exc:
         sim.run()
@@ -103,7 +104,8 @@ def test_qos_checker_detects_overtaking_when_fix_reverted(monkeypatch):
 def test_fixed_admit_passes_checker_in_overtaking_scenario():
     sim = Simulator()
     ctx = CheckContext(checkers=["qos"])
-    qos = QoSModule(sim, checks=ctx)
+    sim.arm(checks=ctx)
+    qos = QoSModule(sim)
     done = overtaking_world(qos)
     sim.run()
     assert [tag for tag, _ in done] == ["primer", "big", "small"]

@@ -159,7 +159,7 @@ def test_checker_blocks_free_of_referenced_chunk():
     rig, vm = golden_rig(chunks=1)
     vm.clone_volume("golden", "c0")               # refcount 2
     phys = tuple(rig.engine.namespaces["golden"].chunks[0])
-    ctx = rig.engine._check_ctx
+    ctx = rig.checks
     assert ctx is not None                        # conftest arms REPRO_CHECKS
     with pytest.raises(InvariantViolation, match="freed while refcount"):
         ctx.on_chunk_free(vm, phys)
@@ -167,7 +167,7 @@ def test_checker_blocks_free_of_referenced_chunk():
 
 def test_checker_shadow_tracks_incref_decref():
     rig, vm = golden_rig(chunks=1)
-    ctx = rig.engine._check_ctx
+    ctx = rig.checks
     phys = tuple(rig.engine.namespaces["golden"].chunks[0])
     with pytest.raises(InvariantViolation, match="drifted from shadow"):
         ctx.on_chunk_incref(vm, phys, 99)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.baselines import build_bmstore, build_native
 from repro.experiments.common import quick_cases, run_case
 from repro.faults import FaultPlan
@@ -172,3 +174,14 @@ def test_engine_stall_slows_dispatch():
     assert sum(
         c.value for c in slowed.obs.counters("faults_injected").values()
     ) > 0
+
+
+def test_timeline_targets_the_world_lacks_are_rejected_as_it_is_built():
+    # an unknown port, a hot-remove without an engine, a slot past the last
+    for build, plan, match in (
+        (build_native, FaultPlan().link_flap("bssd0"), "unknown PCIe port 'bssd0'"),
+        (build_native, FaultPlan().hot_remove(0), "needs a BMS engine"),
+        (build_bmstore, FaultPlan().hot_remove(1), "backend slot 1"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            build(num_ssds=1, faults=plan)

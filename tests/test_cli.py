@@ -1,5 +1,6 @@
 """CLI tests: python -m repro ..."""
 
+import pytest
 
 from repro.cli import main
 
@@ -128,6 +129,28 @@ def test_fio_faults_preset_counts_injections(capsys, monkeypatch):
 
 def test_fio_rejects_unknown_faults_preset(capsys):
     assert main(["fio", "--scheme", "bmstore", "--faults", "nope"]) == 2
+
+
+# the presets target the bmstore world: its backend port bssd0 and its
+# engine's slot 0; a world without them refuses the plan as it is armed
+UNSERVABLE = [("native", "link-flap", "bssd0"), ("native", "hot-remove", "engine"),
+              ("vfio-vm", "width-degrade", "bssd0"), ("spdk-vm", "pt-hot-remove", "engine")]
+
+
+@pytest.mark.parametrize("scheme,preset,needle", UNSERVABLE)
+def test_fio_rejects_a_fault_plan_the_world_cannot_serve(capsys, scheme, preset, needle):
+    assert main(["fio", "--scheme", scheme, "--case", "rand-r-1",
+                 "--faults", preset]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and needle in err
+
+
+@pytest.mark.parametrize("scheme,preset,needle", UNSERVABLE)
+def test_grid_rejects_a_fault_plan_the_world_cannot_serve(capsys, scheme, preset, needle):
+    assert main(["grid", "--schemes", scheme, "--cases", "rand-r-1",
+                 "--faults", preset, "--workers", "1"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and needle in err
 
 
 def test_faults_command_reports_recovery(capsys):
