@@ -295,9 +295,9 @@ def _cmd_stats(args) -> int:
             print(f"  {tags.get('ns', '?'):<12} {tags.get('op', '?'):<6} "
                   f"{counter.value:>9} ops  "
                   f"{counter.value / elapsed_s / 1e3:>8.1f} KIOPS")
-    spans = reg.spans
-    print(f"\nspans: {len(spans)} recorded ({len(spans.complete())} complete, "
-          f"{spans.dropped} dropped)")
+    spans = case.snapshot["spans"]
+    print(f"\nspans: {spans['recorded']} recorded ({spans['complete']} complete, "
+          f"{spans['dropped']} dropped)")
     return 0
 
 

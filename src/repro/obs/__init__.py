@@ -11,7 +11,8 @@ measurement substrate for the reproduction:
 * :class:`IOSpan` / :class:`SpanLog` — each NVMe command carries a
   span that stamps the Fig. 6 stages as it moves driver -> SR-IOV
   doorbell -> target-controller fetch -> LBA map -> SSD DMA ->
-  completion -> interrupt.
+  completion -> interrupt; a finished span is filed as one frozen row
+  of the log's per-stage columns.
 
 Attach a registry to any rig (``build_bmstore(obs=reg)``) or let
 :func:`repro.experiments.run_case` create one per run; read it back as

@@ -259,19 +259,23 @@ class MetricsRegistry:
 
     # ----------------------------------------------------------------- spans
     def finish_span(self, span: IOSpan) -> None:
-        """File a completed span: log it + feed the stage histograms."""
+        """File a completed span: log its row + feed the stage histograms.
+
+        The span is read once, here; later stamps on it (a timed-out
+        attempt still executing on the drive) change nothing filed."""
         if self.mode == "counters":
             return
-        self.spans.add(span)
-        if span.faults:
-            for kind in span.faults:
-                self.counter("span_faults", kind=kind).inc()
+        for kind in span.faults:
+            self.counter("span_faults", kind=kind).inc()
         hists = self._stage_hists
-        for stage, delta in span.stage_deltas():
-            h = hists.get(stage)
-            if h is None:
-                h = hists[stage] = self.histogram("span_stage_ns", stage=stage)
-            h.observe(delta)
+        last = None
+        for stage, t in self.spans.add(span):
+            if last is not None:
+                h = hists.get(stage)
+                if h is None:
+                    h = hists[stage] = self.histogram("span_stage_ns", stage=stage)
+                h.observe(t - last)
+            last = t
         total = span.total_ns()
         if total is not None:
             h = self._h_span_total
@@ -318,16 +322,16 @@ class MetricsRegistry:
                 out["gauges"][label] = metric.value
             else:
                 out["histograms"][label] = metric.summary()
+        spans = self.spans
         out["spans"] = {
-            "recorded": len(self.spans),
-            "dropped": self.spans.dropped,
-            "complete": sum(1 for s in self.spans if s.is_complete),
+            "recorded": len(spans),
+            "dropped": spans.dropped,
+            "complete": len(spans.complete()),
         }
         # only present when faults were injected, so fault-free snapshots
         # stay byte-identical to pre-fault-layer output
-        with_faults = sum(1 for s in self.spans if s.faults)
-        if with_faults:
-            out["spans"]["with_faults"] = with_faults
+        if spans.with_faults:
+            out["spans"]["with_faults"] = spans.with_faults
         # likewise: default-mode snapshots keep their historical shape
         if self.mode != "full":
             out["obs_mode"] = self.mode

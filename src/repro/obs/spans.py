@@ -24,14 +24,19 @@ BM-Store datapath is *complete* when all seven are stamped.  The extra
 stages refine the breakdown (they are what
 ``repro.experiments.latency_breakdown`` itemizes) but schemes without
 an engine (native, VFIO) legitimately never stamp them.
+
+Filed spans live in :class:`SpanLog` as columns, not objects: one
+``array('q')`` per stage plus interned ``op``/``origin`` codes, so a
+full log of ten thousand spans costs under a megabyte.  Reading the log
+yields :class:`SpanRow` views with the same read API as :class:`IOSpan`.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from array import array
 from typing import Iterator, Optional
 
-__all__ = ["STAGES", "STAMP_ORDER", "IOSpan", "SpanLog"]
+__all__ = ["STAGES", "STAMP_ORDER", "IOSpan", "SpanRow", "SpanLog"]
 
 #: the seven canonical stages every completed BM-Store command stamps
 STAGES = (
@@ -44,7 +49,8 @@ STAGES = (
     "interrupt",
 )
 
-#: full stamping order, canonical stages + refinements
+#: full stamping order, canonical stages + refinements; the stage set
+#: is closed: :meth:`IOSpan.stamp` refuses any other name
 STAMP_ORDER = (
     "submit",
     "doorbell",
@@ -59,60 +65,40 @@ STAMP_ORDER = (
     "interrupt",
 )
 
-_KNOWN_STAGES = frozenset(STAMP_ORDER)
+_STAGE_INDEX = {stage: i for i, stage in enumerate(STAMP_ORDER)}
+_CANONICAL = tuple(_STAGE_INDEX[stage] for stage in STAGES)
+
+#: a column cell whose stage was never stamped (sim time is never negative)
+_UNSTAMPED = -(1 << 63)
 
 
-class IOSpan:
-    """Stage timestamps of one command's trip through the datapath."""
+class _SpanReads:
+    """The read API shared by live spans and filed rows.
 
-    __slots__ = ("op", "origin", "stamps", "faults")
+    Subclasses supply ``op``, ``origin``, ``faults``, ``get(stage)``
+    and ``ordered_stamps()`` (the (stage, time) pairs in datapath
+    order); everything else derives from those two.
+    """
 
-    def __init__(self, op: str, origin: str = ""):
-        self.op = op  # "read" | "write" | "flush" | opcode repr
-        self.origin = origin  # submitting driver's name
-        self.stamps: dict[str, int] = {}
-        self.faults: list[str] = []  # injected-fault kinds this span hit
-
-    def stamp(self, stage: str, time_ns: int) -> None:
-        """Record ``stage`` at ``time_ns`` (re-stamping keeps the latest)."""
-        self.stamps[stage] = time_ns
-
-    def note_fault(self, kind: str) -> None:
-        """Mark this command as having hit an injected fault."""
-        self.faults.append(kind)
+    __slots__ = ()
 
     def __contains__(self, stage: str) -> bool:
-        return stage in self.stamps
-
-    def get(self, stage: str) -> Optional[int]:
-        return self.stamps.get(stage)
+        return self.get(stage) is not None
 
     @property
     def is_complete(self) -> bool:
         """All seven canonical stages stamped."""
-        return all(stage in self.stamps for stage in STAGES)
+        return all(self.get(stage) is not None for stage in STAGES)
 
     @property
     def is_monotone(self) -> bool:
         """Timestamps never decrease along the stamp order."""
         last = None
-        for t in self.ordered_stamps():
-            if last is not None and t[1] < last:
+        for _, t in self.ordered_stamps():
+            if last is not None and t < last:
                 return False
-            last = t[1]
+            last = t
         return True
-
-    def ordered_stamps(self) -> list[tuple[str, int]]:
-        """(stage, time) pairs in datapath order (unknown stages last,
-        by time)."""
-        stamps = self.stamps
-        ordered = [(stage, stamps[stage]) for stage in STAMP_ORDER if stage in stamps]
-        if len(ordered) < len(stamps):
-            ordered += sorted(
-                ((stage, t) for stage, t in stamps.items() if stage not in _KNOWN_STAGES),
-                key=itemgetter(1),
-            )
-        return ordered
 
     def stage_deltas(self) -> list[tuple[str, int]]:
         """Per-stage durations: each stamped stage labeled with the time
@@ -125,7 +111,7 @@ class IOSpan:
         ]
 
     def duration_ns(self, start_stage: str, end_stage: str) -> Optional[int]:
-        a, b = self.stamps.get(start_stage), self.stamps.get(end_stage)
+        a, b = self.get(start_stage), self.get(end_stage)
         if a is None or b is None:
             return None
         return b - a
@@ -136,41 +122,152 @@ class IOSpan:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         path = "->".join(s for s, _ in self.ordered_stamps())
-        return f"<IOSpan {self.op} {path}>"
+        return f"<{type(self).__name__} {self.op} {path}>"
+
+
+class IOSpan(_SpanReads):
+    """Stage timestamps of one command's trip through the datapath."""
+
+    __slots__ = ("op", "origin", "stamps", "faults")
+
+    def __init__(self, op: str, origin: str = ""):
+        self.op = op  # "read" | "write" | "flush" | opcode repr
+        self.origin = origin  # submitting driver's name
+        self.stamps: dict[str, int] = {}
+        self.faults: list[str] = []  # injected-fault kinds this span hit
+
+    def stamp(self, stage: str, time_ns: int) -> None:
+        """Record ``stage`` at ``time_ns`` (re-stamping keeps the latest)."""
+        if stage not in _STAGE_INDEX:
+            raise ValueError(f"unknown span stage {stage!r} (known: {STAMP_ORDER})")
+        self.stamps[stage] = time_ns
+
+    def note_fault(self, kind: str) -> None:
+        """Mark this command as having hit an injected fault."""
+        self.faults.append(kind)
+
+    def get(self, stage: str) -> Optional[int]:
+        return self.stamps.get(stage)
+
+    def ordered_stamps(self) -> list[tuple[str, int]]:
+        """(stage, time) pairs in datapath order."""
+        stamps = self.stamps
+        return [(stage, stamps[stage]) for stage in STAMP_ORDER if stage in stamps]
+
+
+class SpanRow(_SpanReads):
+    """A read-only view of one filed span: a (log, row) pair."""
+
+    __slots__ = ("_log", "_row")
+
+    def __init__(self, log: "SpanLog", row: int):
+        self._log = log
+        self._row = row
+
+    @property
+    def op(self) -> str:
+        return self._log._names[self._log._ops[self._row]]
+
+    @property
+    def origin(self) -> str:
+        return self._log._names[self._log._origins[self._row]]
+
+    @property
+    def faults(self) -> list[str]:
+        return list(self._log._faults.get(self._row, ()))
+
+    @property
+    def stamps(self) -> dict[str, int]:
+        return dict(self.ordered_stamps())
+
+    def get(self, stage: str) -> Optional[int]:
+        i = _STAGE_INDEX.get(stage)
+        if i is None:
+            return None
+        t = self._log._cols[i][self._row]
+        return None if t == _UNSTAMPED else t
+
+    def ordered_stamps(self) -> list[tuple[str, int]]:
+        row = self._row
+        return [(stage, t) for stage, col in zip(STAMP_ORDER, self._log._cols)
+                if (t := col[row]) != _UNSTAMPED]
 
 
 class SpanLog:
-    """Capacity-bounded store of completed spans.
+    """Capacity-bounded, columnar store of filed spans.
 
-    The first ``capacity`` spans are kept verbatim (enough for any
-    per-stage statistic); later arrivals only bump ``dropped`` so
-    long runs stay bounded.
+    The first ``capacity`` spans are kept (enough for any per-stage
+    statistic); later arrivals only bump ``dropped`` so long runs stay
+    bounded.  A row is copied out of its :class:`IOSpan` when filed and
+    never changes afterwards, even if a timed-out attempt still stamps
+    the span.
     """
 
     def __init__(self, capacity: int = 10_000):
         self.capacity = capacity
-        self._spans: list[IOSpan] = []
         self.dropped = 0
+        self._cols = tuple(array("q") for _ in STAMP_ORDER)
+        self._ops = array("H")
+        self._origins = array("H")
+        self._names: list[str] = []  # interned op/origin strings
+        self._codes: dict[str, int] = {}
+        self._faults: dict[int, tuple[str, ...]] = {}  # sparse: row -> kinds
 
-    def add(self, span: IOSpan) -> None:
-        if len(self._spans) < self.capacity:
-            self._spans.append(span)
-        else:
+    def _code(self, name: str) -> int:
+        code = self._codes.get(name)
+        if code is None:
+            code = self._codes[name] = len(self._names)
+            self._names.append(name)
+        return code
+
+    def add(self, span: IOSpan) -> list[tuple[str, int]]:
+        """File ``span`` as one row (or count it dropped once full).
+
+        Returns the span's (stage, time) pairs in datapath order, read
+        in the same walk that fills the row."""
+        row = len(self._ops)
+        if row >= self.capacity:
             self.dropped += 1
+            return span.ordered_stamps()
+        stamps = span.stamps
+        ordered = []
+        for stage, col in zip(STAMP_ORDER, self._cols):
+            t = stamps.get(stage)
+            if t is None:
+                col.append(_UNSTAMPED)
+            else:
+                col.append(t)
+                ordered.append((stage, t))
+        self._ops.append(self._code(span.op))
+        self._origins.append(self._code(span.origin))
+        if span.faults:
+            self._faults[row] = tuple(span.faults)
+        return ordered
 
     def __len__(self) -> int:
-        return len(self._spans)
+        return len(self._ops)
 
-    def __iter__(self) -> Iterator[IOSpan]:
-        return iter(self._spans)
+    def __iter__(self) -> Iterator[SpanRow]:
+        return (SpanRow(self, row) for row in range(len(self._ops)))
 
-    def __getitem__(self, index: int) -> IOSpan:
-        return self._spans[index]
+    def __getitem__(self, index: int) -> SpanRow:
+        return SpanRow(self, range(len(self._ops))[index])
 
-    def complete(self) -> list[IOSpan]:
-        """Spans that stamped every canonical stage."""
-        return [s for s in self._spans if s.is_complete]
+    def complete(self) -> list[SpanRow]:
+        """Rows that stamped every canonical stage."""
+        canonical = [self._cols[i] for i in _CANONICAL]
+        return [SpanRow(self, row) for row, cells in enumerate(zip(*canonical))
+                if _UNSTAMPED not in cells]
+
+    @property
+    def with_faults(self) -> int:
+        """Rows that hit at least one injected fault."""
+        return len(self._faults)
 
     def clear(self) -> None:
-        self._spans.clear()
+        for col in (*self._cols, self._ops, self._origins):
+            del col[:]
+        self._names.clear()
+        self._codes.clear()
+        self._faults.clear()
         self.dropped = 0

@@ -65,13 +65,14 @@ class AddressHandler(Protocol):
 
 
 class _Window:
-    __slots__ = ("base", "end", "handler", "port")
+    __slots__ = ("base", "end", "route")
 
     def __init__(self, base: int, size: int, handler: AddressHandler, port: Optional["Port"]):
         self.base = base
         self.end = base + size
-        self.handler = handler
-        self.port = port
+        # the (handler, port) pair every address in the window resolves
+        # to: one shared tuple, however many addresses the memo caches
+        self.route = (handler, port)
 
     def contains(self, addr: int) -> bool:
         return self.base <= addr < self.end
@@ -148,7 +149,7 @@ class PCIeFabric:
         self.hop_latency_ns = hop_latency_ns
         self._windows: list[_Window] = []
         self._ports: list[Port] = []
-        self._root_handler: Optional[AddressHandler] = None
+        self._root_route: Optional[tuple[AddressHandler, None]] = None
         self._root_vdm_handler: Optional[Callable[[VendorDefinedMessage], None]] = None
         # addr -> (handler, port) memo: ring slots, doorbells and DMA
         # buffers hit the same addresses constantly; invalidated when
@@ -175,7 +176,7 @@ class PCIeFabric:
 
     def set_root_handler(self, handler: AddressHandler) -> None:
         """Claim all unclaimed addresses (host DRAM / engine chip space)."""
-        self._root_handler = handler
+        self._root_route = (handler, None)
         self._resolve_cache.clear()
 
     def set_root_vdm_handler(self, handler: Callable[[VendorDefinedMessage], None]) -> None:
@@ -198,14 +199,14 @@ class PCIeFabric:
             return hit
         for window in self._windows:
             if window.contains(addr):
-                result = (window.handler, window.port)
+                result = window.route
                 break
         else:
-            if self._root_handler is None:
+            result = self._root_route
+            if result is None:
                 raise SimulationError(
                     f"{self.name}: no window claims address {addr:#x} and no root handler"
                 )
-            result = (self._root_handler, None)
         if len(cache) < 65536:
             cache[addr] = result
         return result

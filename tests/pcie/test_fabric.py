@@ -220,7 +220,7 @@ def test_msix_end_to_end_interrupt_delivery():
         def mem_read(self, a, l):
             return mem.mem_read(a, l)
 
-    fabric._root_handler = Root()
+    fabric.set_root_handler(Root())
     port = fabric.attach("dev0")
     dev = PCIeDevice("d")
     pf = dev.add_pf(0x10, 1, 2, bar_sizes={0: 0x1000})
