@@ -1,6 +1,10 @@
 """Result analysis: latency statistics, fairness, TCO model."""
 
-from .metrics import LatencyStats, fairness_index, percentile
-from .report import ascii_bar_chart, render_markdown
+from .._lazy import lazy_exports
 
 __all__ = ["LatencyStats", "fairness_index", "percentile", "ascii_bar_chart", "render_markdown"]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "metrics": ("LatencyStats", "fairness_index", "percentile"),
+    "report": ("ascii_bar_chart", "render_markdown"),
+})

@@ -1,12 +1,6 @@
 """MiniKV: LSM-tree key-value store (the RocksDB stand-in for YCSB)."""
 
-from .bloom import BloomFilter
-from .db import MiniKV, MiniKVConfig, MiniKVStats
-from .encoding import TOMBSTONE, decode_records, encode_record, record_size
-from .memtable import MemTable
-from .recovery import KVRecoveryReport, crash_and_recover_kv
-from .sstable import SSTable, SSTableWriter
-from .wal import WriteAheadLog
+from ..._lazy import lazy_exports
 
 __all__ = [
     "BloomFilter",
@@ -24,3 +18,15 @@ __all__ = [
     "SSTableWriter",
     "WriteAheadLog",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "bloom": ("BloomFilter",),
+    "db": ("MiniKV", "MiniKVConfig", "MiniKVStats"),
+    "encoding": (
+        "TOMBSTONE", "decode_records", "encode_record", "record_size",
+    ),
+    "memtable": ("MemTable",),
+    "recovery": ("KVRecoveryReport", "crash_and_recover_kv"),
+    "sstable": ("SSTable", "SSTableWriter"),
+    "wal": ("WriteAheadLog",),
+})

@@ -1,11 +1,6 @@
 """MiniSQL: transactional page engine (MySQL/InnoDB stand-in)."""
 
-from .buffer_pool import BufferPool, BufferPoolStats
-from .engine import MiniSQL, MiniSQLConfig, Transaction
-from .pages import PAGE_BLOCKS, PAGE_BYTES, Page, PageStore
-from .recovery import RecoveryReport, crash_and_recover
-from .redo import RedoLog, RedoRecord
-from .table import SortedKeyIndex, Table, TableSchema
+from ..._lazy import lazy_exports
 
 __all__ = [
     "BufferPool",
@@ -25,3 +20,12 @@ __all__ = [
     "Table",
     "TableSchema",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "buffer_pool": ("BufferPool", "BufferPoolStats"),
+    "engine": ("MiniSQL", "MiniSQLConfig", "Transaction"),
+    "pages": ("PAGE_BLOCKS", "PAGE_BYTES", "Page", "PageStore"),
+    "recovery": ("RecoveryReport", "crash_and_recover"),
+    "redo": ("RedoLog", "RedoRecord"),
+    "table": ("SortedKeyIndex", "Table", "TableSchema"),
+})

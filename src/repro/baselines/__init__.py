@@ -1,19 +1,6 @@
 """Comparison schemes: native, VFIO, SPDK vhost and MDev-NVMe, Table I, rig builders."""
 
-from .features import FEATURE_COLUMNS, feature_matrix
-from .registry import SCHEME_DEFS, SchemeDef, runnable_schemes, scheme_def, table1_schemes
-from .rigs import (
-    BMStoreRig,
-    NativeRig,
-    SPDKRig,
-    VFIORig,
-    build_bmstore,
-    build_native,
-    build_spdk,
-    build_vfio,
-)
-from .spdk_vhost import MDEV_CONFIG, SPDKConfig, SPDKVhostTarget, VhostBlockDevice
-from .vfio import VFIOAssignment
+from .._lazy import lazy_exports
 
 __all__ = [
     "FEATURE_COLUMNS",
@@ -37,3 +24,19 @@ __all__ = [
     "VhostBlockDevice",
     "VFIOAssignment",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "features": ("FEATURE_COLUMNS", "feature_matrix"),
+    "registry": (
+        "SCHEME_DEFS", "SchemeDef", "runnable_schemes", "scheme_def",
+        "table1_schemes",
+    ),
+    "rigs": (
+        "BMStoreRig", "NativeRig", "SPDKRig", "VFIORig", "build_bmstore",
+        "build_native", "build_spdk", "build_vfio",
+    ),
+    "spdk_vhost": (
+        "MDEV_CONFIG", "SPDKConfig", "SPDKVhostTarget", "VhostBlockDevice",
+    ),
+    "vfio": ("VFIOAssignment",),
+})

@@ -8,12 +8,12 @@ host, same drives, same kernel profile, same random streams).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..checks import CheckContext, resolve_checks
+from ..checks.resolve import resolve_checks
 from ..core.controller import BMSController, ControllerTimings
 from ..core.engine import BMSEngine, EngineTimings
-from ..faults import DriverFaultPolicy, FaultInjector, FaultPlan
+from ..faults.plan import DriverFaultPolicy, FaultPlan
 from ..core.qos import QoSLimits
 from ..core.sriov_layer import FrontEndFunction
 from ..host.driver import NVMeDriver
@@ -26,8 +26,12 @@ from ..nvme.flash import FlashProfile, P4510_PROFILE
 from ..obs import MetricsRegistry
 from ..nvme.ssd import NVMeSSD
 from ..sim import Simulator, StreamFactory
-from .spdk_vhost import SPDKConfig, SPDKVhostTarget, VhostBlockDevice
-from .vfio import VFIOAssignment
+
+if TYPE_CHECKING:  # each loads only in a world that arms or builds it
+    from ..checks.runtime import CheckContext
+    from ..faults.injector import FaultInjector
+    from .spdk_vhost import SPDKConfig, SPDKVhostTarget, VhostBlockDevice
+    from .vfio import VFIOAssignment
 
 __all__ = [
     "NativeRig",
@@ -53,7 +57,11 @@ def _base_world(
     only, so the datapath hooks stay on their ``faults is None`` path.
     """
     sim = Simulator()
-    injector = FaultInjector(sim, faults) if faults is not None and faults.specs else None
+    injector = None
+    if faults is not None and faults.specs:
+        from ..faults.injector import FaultInjector
+
+        injector = FaultInjector(sim, faults)
     sim.arm(obs=obs, checks=resolve_checks(checks, obs), faults=injector)
     streams = StreamFactory(root_seed=seed)
     host = Host(sim, streams, kernel=kernel)
@@ -265,6 +273,8 @@ def build_vfio(
     policy: Optional[SubmissionPolicy] = None,
 ) -> VFIORig:
     """Pass-through worlds: one whole drive per VM."""
+    from .vfio import VFIOAssignment
+
     policy = resolve_policy(policy)
     sim, streams, host = _base_world(seed, kernel, obs, faults, checks)
     assignment = VFIOAssignment()
@@ -306,20 +316,24 @@ def build_spdk(
     vdev_blocks: Optional[int] = None,
     kernel: KernelProfile = DEFAULT_KERNEL,
     seed: int = 7,
-    config: SPDKConfig = SPDKConfig(),
+    config: Optional[SPDKConfig] = None,
     flash_profile: FlashProfile = P4510_PROFILE,
     obs: Optional[MetricsRegistry] = None,
     faults: Optional[FaultPlan] = None,
     checks=None,
 ) -> SPDKRig:
-    """An SPDK vhost world: polling cores + virtio vdevs."""
+    """An SPDK vhost world: polling cores + virtio vdevs (``config``
+    defaults to :class:`~repro.baselines.spdk_vhost.SPDKConfig`)."""
+    from .spdk_vhost import SPDKConfig, SPDKVhostTarget
+
     sim, streams, host = _base_world(seed, kernel, obs, faults, checks)
     ssds = [
         NVMeSSD(sim, host.fabric, streams, name=f"nvme{i}", profile=flash_profile)
         for i in range(num_ssds)
     ]
     _start_faults(sim, host.fabric)
-    target = SPDKVhostTarget(host, ssds, num_cores=num_cores, config=config)
+    target = SPDKVhostTarget(host, ssds, num_cores=num_cores,
+                             config=config or SPDKConfig())
     vdevs = []
     blocks = vdev_blocks or (256 * 1024**3 // 4096)
     per_ssd_next: dict[int, int] = {}

@@ -23,6 +23,7 @@ device SQ/CQ, and pays a CPU cost per request inline.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -111,7 +112,7 @@ class VhostBlockDevice:
         self.ssd_index = ssd_index
         self.lba_base = lba_base
         self._num_blocks = num_blocks
-        self.ring: list[_VirtioRequest] = []
+        self.ring: deque[_VirtioRequest] = deque()
         self.submitted = 0
         self.completed = 0
         self._vq_lock = Resource(self.sim, 1, name=f"{name}.vqlock")
@@ -238,7 +239,7 @@ class SPDKVhostTarget:
                     qp = self._qps[vdev.ssd_index]
                     if qp.sq.is_full:
                         break
-                    req = vdev.ring.pop(0)
+                    req = vdev.ring.popleft()
                     picked += 1
                     did_work = True
                     cpu = int(self._submit_cpu_ns(req) * factor)

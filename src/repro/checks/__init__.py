@@ -7,7 +7,9 @@ Two halves:
   (ring, prp, lba, qos, kernel) raise :class:`InvariantViolation` at
   the point of violation and count their coverage in ``repro.obs``.
   Arm per run with ``run_case(..., checks="all")`` / a builder's
-  ``checks=`` argument, or globally with ``REPRO_CHECKS=1``.
+  ``checks=`` argument, or globally with ``REPRO_CHECKS=1``;
+  :func:`resolve_checks` (:mod:`repro.checks.resolve`) reads that
+  argument, and imports the checkers only when it arms them.
 * :mod:`repro.checks.static` — an AST audit of the source tree for
   nondeterminism hazards (unseeded ``random``, wall-clock reads,
   unordered-set iteration), run by ``python -m repro check --static``.
@@ -16,13 +18,7 @@ Checkers are pure observers: a checked run's simulation payload is
 byte-identical to an unchecked run.
 """
 
-from .runtime import (
-    CHECKER_NAMES,
-    CheckContext,
-    InvariantViolation,
-    resolve_checks,
-)
-from .static import Finding, audit_file, audit_tree, render_findings
+from .._lazy import lazy_exports
 
 __all__ = [
     "CHECKER_NAMES",
@@ -34,3 +30,9 @@ __all__ = [
     "audit_tree",
     "render_findings",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "runtime": ("CHECKER_NAMES", "CheckContext", "InvariantViolation"),
+    "resolve": ("resolve_checks",),
+    "static": ("Finding", "audit_file", "audit_tree", "render_findings"),
+})

@@ -37,9 +37,8 @@ checker     invariants (hook points)
 
 from __future__ import annotations
 
-import os
 from collections import deque
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Iterable, Optional
 
 from ..sim import SimulationError
 from ..sim.units import PAGE_SIZE
@@ -48,16 +47,10 @@ __all__ = [
     "CHECKER_NAMES",
     "CheckContext",
     "InvariantViolation",
-    "resolve_checks",
 ]
 
 #: every named checker, in documentation order
 CHECKER_NAMES = ("ring", "prp", "lba", "qos", "kernel", "push")
-
-#: spellings of "no checkers" accepted by :func:`resolve_checks`
-_OFF_VALUES = ("", "0", "off", "none", "false")
-#: spellings of "every checker"
-_ALL_VALUES = ("1", "all", "on", "true")
 
 
 class InvariantViolation(SimulationError):
@@ -593,38 +586,3 @@ class CheckContext:
     def summary(self) -> dict[str, int]:
         """Coverage counts per enabled checker (JSON-able)."""
         return dict(self.counts)
-
-
-def resolve_checks(
-    checks: Union[None, bool, str, Iterable[str], CheckContext],
-    obs=None,
-) -> Optional[CheckContext]:
-    """Normalize a ``checks=`` argument into a context (or None = off).
-
-    ``None`` consults the ``REPRO_CHECKS`` environment variable ("1" /
-    "all" arms everything, a comma list arms a subset, unset/"0"
-    disarms).  ``True``/"all" arms everything; ``False``/"off" disarms;
-    an iterable of names arms that subset; an existing
-    :class:`CheckContext` passes through unchanged (its own ``obs``
-    wins).
-    """
-    if isinstance(checks, CheckContext):
-        return checks
-    if checks is None:
-        checks = os.environ.get("REPRO_CHECKS", "")
-    if checks is False:
-        return None
-    if checks is True:
-        return CheckContext(obs=obs)
-    if isinstance(checks, str):
-        lowered = checks.strip().lower()
-        if lowered in _OFF_VALUES:
-            return None
-        if lowered in _ALL_VALUES:
-            return CheckContext(obs=obs)
-        names = [part.strip() for part in checks.split(",") if part.strip()]
-        return CheckContext(checkers=names, obs=obs)
-    names = list(checks)
-    if not names:
-        return None
-    return CheckContext(checkers=names, obs=obs)

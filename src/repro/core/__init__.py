@@ -9,33 +9,7 @@ This package is the paper's primary contribution:
 * :class:`FPGAResourceModel` — Table II resource accounting.
 """
 
-from .axi import AXIBus
-from .controller import (
-    BMSController,
-    ControllerTimings,
-    HotPlugReport,
-    UpgradeReport,
-)
-from .dma_routing import (
-    ADDRESS_MASK,
-    FUNCTION_ID_BITS,
-    decode_global_prp,
-    encode_global_prp,
-    is_global_prp,
-)
-from .engine import BMSEngine, EngineNamespace, EngineTimings
-from .fpga_resources import ZU19EG_TOTALS, FPGAResourceModel, FPGAResources
-from .host_adaptor import BackendSlot, HostAdaptor
-from .lba_mapping import (
-    CHUNK_BYTES,
-    ENTRIES_PER_ROW,
-    ROWS,
-    MappingEntry,
-    MappingTable,
-)
-from .qos import QoSLimits, QoSModule
-from .sriov_layer import FN_BAR_BYTES, NUM_PFS, NUM_VFS, FrontEndFunction, SRIOVLayer
-from .target_controller import AdminRequest, TargetController
+from .._lazy import lazy_exports
 
 __all__ = [
     "AXIBus",
@@ -71,3 +45,26 @@ __all__ = [
     "AdminRequest",
     "TargetController",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "axi": ("AXIBus",),
+    "controller": (
+        "BMSController", "ControllerTimings", "HotPlugReport", "UpgradeReport",
+    ),
+    "dma_routing": (
+        "ADDRESS_MASK", "FUNCTION_ID_BITS", "decode_global_prp",
+        "encode_global_prp", "is_global_prp",
+    ),
+    "engine": ("BMSEngine", "EngineNamespace", "EngineTimings"),
+    "fpga_resources": ("ZU19EG_TOTALS", "FPGAResourceModel", "FPGAResources"),
+    "host_adaptor": ("BackendSlot", "HostAdaptor"),
+    "lba_mapping": (
+        "CHUNK_BYTES", "ENTRIES_PER_ROW", "ROWS", "MappingEntry",
+        "MappingTable",
+    ),
+    "qos": ("QoSLimits", "QoSModule"),
+    "sriov_layer": (
+        "FN_BAR_BYTES", "NUM_PFS", "NUM_VFS", "FrontEndFunction", "SRIOVLayer",
+    ),
+    "target_controller": ("AdminRequest", "TargetController"),
+})

@@ -17,6 +17,7 @@ data directly to/from the host.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from ..host.policy import DMA_MODELS
@@ -167,7 +168,7 @@ class DescriptorRingDMA:
         self.port = port
         self.per_desc_ns = per_desc_ns
         self.name = name
-        self._fifo: list[tuple] = []
+        self._fifo: deque[tuple] = deque()
         self._worker_live = False
         self.descriptors = 0
         self.peak_depth = 0
@@ -192,7 +193,7 @@ class DescriptorRingDMA:
 
     def _worker(self):
         while self._fifo:
-            kind, host_addr, length, data, done = self._fifo.pop(0)
+            kind, host_addr, length, data, done = self._fifo.popleft()
             self.descriptors += 1
             yield self.sim.timeout(self.per_desc_ns)
             # launch without waiting: the fabric paces the bytes

@@ -5,37 +5,7 @@ Each module's ``run()`` returns an :class:`ExperimentResult`; the
 ``examples/reproduce_paper.py`` prints them all.
 """
 
-from . import (
-    ablations,
-    extensions,
-    fault_recovery,
-    fig1,
-    fig8_table5,
-    fig9_table7,
-    fig10,
-    fig11,
-    fig12,
-    fig13a,
-    fig13b_table8,
-    fig14,
-    fig15_table9,
-    latency_breakdown,
-    table1,
-    table2,
-    table6,
-    tco_analysis,
-)
-from .common import (
-    BM_NAMESPACE_BYTES,
-    SCHEMES,
-    CaseResult,
-    ExperimentResult,
-    build_vm_targets,
-    quick_cases,
-    run_case,
-    scaled,
-    time_scale,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "ablations",
@@ -66,3 +36,10 @@ __all__ = [
     "scaled",
     "time_scale",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "common": (
+        "BM_NAMESPACE_BYTES", "SCHEMES", "CaseResult", "ExperimentResult",
+        "build_vm_targets", "quick_cases", "run_case", "scaled", "time_scale",
+    ),
+})

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from ..baselines import (
     BMStoreRig,
@@ -29,7 +29,9 @@ from ..baselines import (
     build_vfio,
 )
 from ..baselines.registry import runnable_schemes
-from ..checks import CheckContext
+# the passthrough runner arms it on its engine: loading it with the
+# runners keeps its import out of the run_case call
+from ..core import passthrough as _passthrough  # noqa: F401
 from ..faults import FaultPlan
 from ..host.driver import NVMeDriver
 from ..host.kernel_profile import DEFAULT_KERNEL, KernelProfile
@@ -38,6 +40,9 @@ from ..host.vm import VirtualMachine
 from ..obs import MetricsRegistry
 from ..sim.units import GIB, MS
 from ..workloads.fio import FioResult, FioRun, FioSpec, TABLE_IV_CASES
+
+if TYPE_CHECKING:
+    from ..checks.runtime import CheckContext
 
 __all__ = [
     "ExperimentResult",
@@ -217,7 +222,7 @@ class CaseResult:
 
 
 #: a scheme runner's result: the measurement and the world's checkers
-_Run = tuple[FioResult, Optional[CheckContext]]
+_Run = tuple[FioResult, Optional["CheckContext"]]
 
 
 def _finish(sim, run: FioRun) -> _Run:

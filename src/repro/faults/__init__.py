@@ -5,9 +5,7 @@
 and :mod:`repro.faults.presets` has canned plans for the CLI.
 """
 
-from .injector import FaultInjector
-from .plan import FAULT_KINDS, DriverFaultPolicy, FaultPlan, FaultSpec
-from .presets import PRESET_DESCRIPTIONS, PRESETS, get_preset, list_presets
+from .._lazy import lazy_exports
 
 __all__ = [
     "FAULT_KINDS",
@@ -20,3 +18,11 @@ __all__ = [
     "get_preset",
     "list_presets",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "injector": ("FaultInjector",),
+    "plan": ("FAULT_KINDS", "DriverFaultPolicy", "FaultPlan", "FaultSpec"),
+    "presets": (
+        "PRESET_DESCRIPTIONS", "PRESETS", "get_preset", "list_presets",
+    ),
+})

@@ -11,19 +11,7 @@ Entry points: :func:`build_fleet` + :func:`make_tenants` +
 :func:`run_fleet`, or ``python -m repro fleet`` from the CLI.
 """
 
-from .migration import MigrationArrival, MigrationPlan
-from .orchestrator import FleetRunConfig, plan_waves, render_report, run_fleet
-from .placement import POLICIES, Placement, PlacementError, evacuate, place
-from .server_sim import ServerRunSpec, TenantAssignment, run_server, shifted_preset
-from .tenants import (
-    QOS_CLASSES,
-    TENANT_PROFILES,
-    QoSClass,
-    TenantProfile,
-    TenantSpec,
-    make_tenants,
-)
-from .topology import FleetSpec, RackSpec, ServerSpec, build_fleet
+from .._lazy import lazy_exports
 
 __all__ = [
     "FleetSpec",
@@ -52,3 +40,21 @@ __all__ = [
     "render_report",
     "run_fleet",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "migration": ("MigrationArrival", "MigrationPlan"),
+    "orchestrator": (
+        "FleetRunConfig", "plan_waves", "render_report", "run_fleet",
+    ),
+    "placement": (
+        "POLICIES", "Placement", "PlacementError", "evacuate", "place",
+    ),
+    "server_sim": (
+        "ServerRunSpec", "TenantAssignment", "run_server", "shifted_preset",
+    ),
+    "tenants": (
+        "QOS_CLASSES", "TENANT_PROFILES", "QoSClass", "TenantProfile",
+        "TenantSpec", "make_tenants",
+    ),
+    "topology": ("FleetSpec", "RackSpec", "ServerSpec", "build_fleet"),
+})

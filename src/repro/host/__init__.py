@@ -1,21 +1,6 @@
 """Host substrate: memory, CPU, kernel profiles, NVMe driver, VMs."""
 
-from .block import BlockTarget, CompletionInfo
-from .cpu import Core, HostCPU
-from .driver import DriverStats, NVMeControllerTarget, NVMeDriver
-from .environment import IRQ_WINDOW_BASE, Host
-from .kernel_profile import DEFAULT_KERNEL, KERNEL_PROFILES, KernelProfile
-from .memory import PAGE_SIZE, HostMemory
-from .policy import (
-    DEFAULT_POLICY,
-    DMA_MODELS,
-    DOORBELL_MODES,
-    POLICY_PRESETS,
-    SubmissionPolicy,
-    parse_policy,
-    resolve_policy,
-)
-from .vm import VirtualMachine, VMProfile
+from .._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_POLICY",
@@ -42,3 +27,17 @@ __all__ = [
     "VirtualMachine",
     "VMProfile",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "block": ("BlockTarget", "CompletionInfo"),
+    "cpu": ("Core", "HostCPU"),
+    "driver": ("DriverStats", "NVMeControllerTarget", "NVMeDriver"),
+    "environment": ("IRQ_WINDOW_BASE", "Host"),
+    "kernel_profile": ("DEFAULT_KERNEL", "KERNEL_PROFILES", "KernelProfile"),
+    "memory": ("PAGE_SIZE", "HostMemory"),
+    "policy": (
+        "DEFAULT_POLICY", "DMA_MODELS", "DOORBELL_MODES", "POLICY_PRESETS",
+        "SubmissionPolicy", "parse_policy", "resolve_policy",
+    ),
+    "vm": ("VirtualMachine", "VMProfile"),
+})

@@ -1,8 +1,6 @@
 """Out-of-band management: MCTP over PCIe, NVMe-MI, remote console."""
 
-from .console import CONSOLE_EID, RemoteConsole
-from .mctp import MCTP_BTU, MCTPEndpoint, MCTPPacket
-from .nvme_mi import MCTP_TYPE_NVME_MI, MIOpcode, MIRequest, MIResponse, MIStatus
+from .._lazy import lazy_exports
 
 __all__ = [
     "CONSOLE_EID",
@@ -16,3 +14,11 @@ __all__ = [
     "MIResponse",
     "MIStatus",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "console": ("CONSOLE_EID", "RemoteConsole"),
+    "mctp": ("MCTP_BTU", "MCTPEndpoint", "MCTPPacket"),
+    "nvme_mi": (
+        "MCTP_TYPE_NVME_MI", "MIOpcode", "MIRequest", "MIResponse", "MIStatus",
+    ),
+})

@@ -1,30 +1,6 @@
 """NVMe protocol substrate: commands, queues, PRPs, and the SSD model."""
 
-from .command import CQE, SQE
-from .firmware import FirmwareImage, FirmwareSlots
-from .flash import P4510_PROFILE, FlashBackend, FlashProfile
-from .namespace import Namespace
-from .prp import (
-    PRP_ENTRY_BYTES,
-    PRPList,
-    build_prps,
-    page_spans,
-    pages_for,
-    prp_list_bytes,
-    release_prps,
-    walk_prps,
-)
-from .queues import CompletionQueue, QueuePair, SubmissionQueue
-from .spec import (
-    CQE_BYTES,
-    DOORBELL_STRIDE,
-    LBA_BYTES,
-    SQE_BYTES,
-    AdminOpcode,
-    IOOpcode,
-    StatusCode,
-)
-from .ssd import DEFAULT_FIRMWARE, NVMeSSD, SSDStats
+from .._lazy import lazy_exports
 
 __all__ = [
     "CQE",
@@ -57,3 +33,20 @@ __all__ = [
     "NVMeSSD",
     "SSDStats",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "command": ("CQE", "SQE"),
+    "firmware": ("FirmwareImage", "FirmwareSlots"),
+    "flash": ("P4510_PROFILE", "FlashBackend", "FlashProfile"),
+    "namespace": ("Namespace",),
+    "prp": (
+        "PRP_ENTRY_BYTES", "PRPList", "build_prps", "page_spans", "pages_for",
+        "prp_list_bytes", "release_prps", "walk_prps",
+    ),
+    "queues": ("CompletionQueue", "QueuePair", "SubmissionQueue"),
+    "spec": (
+        "CQE_BYTES", "DOORBELL_STRIDE", "LBA_BYTES", "SQE_BYTES",
+        "AdminOpcode", "IOOpcode", "StatusCode",
+    ),
+    "ssd": ("DEFAULT_FIRMWARE", "NVMeSSD", "SSDStats"),
+})

@@ -21,15 +21,7 @@ tables (:meth:`MetricsRegistry.render_table`) or JSON
 or out-of-band through the BMS-Controller's I/O monitor.
 """
 
-from .metrics import (
-    OBS_MODES,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullHistogram,
-)
-from .spans import STAGES, IOSpan, SpanLog
+from .._lazy import lazy_exports
 
 __all__ = [
     "OBS_MODES",
@@ -42,3 +34,11 @@ __all__ = [
     "IOSpan",
     "SpanLog",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "metrics": (
+        "OBS_MODES", "Counter", "Gauge", "Histogram", "MetricsRegistry",
+        "NullHistogram",
+    ),
+    "spans": ("STAGES", "IOSpan", "SpanLog"),
+})

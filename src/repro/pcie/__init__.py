@@ -5,21 +5,7 @@ domains: the host domain (host root complex <-> BMS-Engine front end)
 and the back-end domain (BMS-Engine root <-> SSDs).
 """
 
-from .config_space import ConfigSpace, SRIOVCapability
-from .fabric import PCIE_GEN3_BYTES_PER_SEC_PER_LANE, AddressHandler, PCIeFabric, Port
-from .function import PCIeDevice, PCIeFunction
-from .msix import InterruptController, MSIXEntry, MSIXTable
-from .tlp import (
-    MAX_PAYLOAD_BYTES,
-    TLP,
-    TLP_HEADER_BYTES,
-    Completion,
-    MemRead,
-    MemWrite,
-    TLPType,
-    VendorDefinedMessage,
-    wire_bytes,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "ConfigSpace",
@@ -43,3 +29,17 @@ __all__ = [
     "VendorDefinedMessage",
     "wire_bytes",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "config_space": ("ConfigSpace", "SRIOVCapability"),
+    "fabric": (
+        "PCIE_GEN3_BYTES_PER_SEC_PER_LANE", "AddressHandler", "PCIeFabric",
+        "Port",
+    ),
+    "function": ("PCIeDevice", "PCIeFunction"),
+    "msix": ("InterruptController", "MSIXEntry", "MSIXTable"),
+    "tlp": (
+        "MAX_PAYLOAD_BYTES", "TLP", "TLP_HEADER_BYTES", "Completion",
+        "MemRead", "MemWrite", "TLPType", "VendorDefinedMessage", "wire_bytes",
+    ),
+})

@@ -8,18 +8,7 @@ instead of one round-trip per hop (the "BPF for storage" bet,
 arXiv 2102.12922).
 """
 
-from .program import (
-    MAX_FANOUT,
-    MAX_HOPS,
-    PushCosts,
-    PushProgram,
-    PushValidationError,
-    chase_program,
-    cond_write_program,
-    filter_program,
-    validate_program,
-)
-from .manager import PushManager, PushResult
+from .._lazy import lazy_exports
 
 __all__ = [
     "MAX_FANOUT",
@@ -34,3 +23,12 @@ __all__ = [
     "filter_program",
     "validate_program",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "program": (
+        "MAX_FANOUT", "MAX_HOPS", "PushCosts", "PushProgram",
+        "PushValidationError", "chase_program", "cond_write_program",
+        "filter_program", "validate_program",
+    ),
+    "manager": ("PushManager", "PushResult"),
+})

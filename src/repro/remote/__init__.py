@@ -1,7 +1,6 @@
 """Remote storage extension (paper §VI-D future work)."""
 
-from .network import RDMA_25GBE, RDMA_100GBE, NetworkLink, NetworkProfile
-from .target import RemoteCompletion, RemoteStorageTarget
+from .._lazy import lazy_exports
 
 __all__ = [
     "RDMA_25GBE",
@@ -11,3 +10,8 @@ __all__ = [
     "RemoteCompletion",
     "RemoteStorageTarget",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "network": ("RDMA_25GBE", "RDMA_100GBE", "NetworkLink", "NetworkProfile"),
+    "target": ("RemoteCompletion", "RemoteStorageTarget"),
+})

@@ -1,5 +1,11 @@
 """SATA device substrate (paper §VI-A compatibility extension)."""
 
-from .disk import HDD_7200_PROFILE, SATA_SSD_PROFILE, SATADisk, SATAProfile
+from .._lazy import lazy_exports
 
 __all__ = ["HDD_7200_PROFILE", "SATA_SSD_PROFILE", "SATADisk", "SATAProfile"]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "disk": (
+        "HDD_7200_PROFILE", "SATA_SSD_PROFILE", "SATADisk", "SATAProfile",
+    ),
+})

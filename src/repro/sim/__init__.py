@@ -10,20 +10,7 @@ Public surface:
 * :mod:`repro.sim.units` — ns/byte unit helpers.
 """
 
-from .kernel import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    Simulator,
-    Timeout,
-)
-from .random import RandomStream, StreamFactory
-from .resources import BandwidthLink, Resource, Store, TokenBucket
-from .tracing import SeriesRecorder
-from . import units
+from .._lazy import lazy_exports
 
 __all__ = [
     "AllOf",
@@ -43,3 +30,13 @@ __all__ = [
     "SeriesRecorder",
     "units",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "kernel": (
+        "AllOf", "AnyOf", "Event", "Interrupt", "Process", "SimulationError",
+        "Simulator", "Timeout",
+    ),
+    "random": ("RandomStream", "StreamFactory"),
+    "resources": ("BandwidthLink", "Resource", "Store", "TokenBucket"),
+    "tracing": ("SeriesRecorder",),
+})

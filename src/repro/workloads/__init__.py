@@ -1,17 +1,6 @@
 """Workload generators: fio test cases and application benchmarks."""
 
-from .fio import TABLE_IV_CASES, FioResult, FioRun, FioSpec, run_fio
-from .sysbench import SysbenchResult, SysbenchRun, SysbenchSpec, run_sysbench
-from .tpcc import TPCC_TABLES, TPCCResult, TPCCRun, TPCCSpec, run_tpcc
-from .trace import (
-    TRACE_PROFILES,
-    TraceProfile,
-    TraceRecord,
-    TraceResult,
-    generate_trace,
-    replay_trace,
-)
-from .ycsb import YCSB_WORKLOADS, YCSBResult, YCSBRun, YCSBSpec, run_ycsb
+from .._lazy import lazy_exports
 
 __all__ = [
     "TABLE_IV_CASES",
@@ -40,3 +29,18 @@ __all__ = [
     "YCSBSpec",
     "run_ycsb",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "fio": ("TABLE_IV_CASES", "FioResult", "FioRun", "FioSpec", "run_fio"),
+    "sysbench": (
+        "SysbenchResult", "SysbenchRun", "SysbenchSpec", "run_sysbench",
+    ),
+    "tpcc": ("TPCC_TABLES", "TPCCResult", "TPCCRun", "TPCCSpec", "run_tpcc"),
+    "trace": (
+        "TRACE_PROFILES", "TraceProfile", "TraceRecord", "TraceResult",
+        "generate_trace", "replay_trace",
+    ),
+    "ycsb": (
+        "YCSB_WORKLOADS", "YCSBResult", "YCSBRun", "YCSBSpec", "run_ycsb",
+    ),
+})

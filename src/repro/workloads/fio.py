@@ -74,7 +74,12 @@ TABLE_IV_CASES: dict[str, FioSpec] = {
 
 @dataclass
 class FioResult:
-    """Measured output of one fio run (measurement window only)."""
+    """Measured output of one fio run (measurement window only).
+
+    ``ios``, ``bytes_moved``, ``per_target_ios`` and ``latency`` count
+    successful completions only; ``errors`` counts the window's I/Os
+    that completed with a non-success status.
+    """
 
     spec: FioSpec
     ios: int
@@ -178,12 +183,14 @@ class FioRun:
                 info = yield target.write(lba, nblocks)
             finish = self.sim.now
             if self._window_start <= finish <= self._window_end:
+                # a failed I/O moved no data: it counts as an error only
+                if not info.ok:
+                    self._errors += 1
+                    continue
                 self._ios += 1
                 self._latencies.append(info.latency_ns)
                 idx = self.targets.index(target)
                 self._per_target[idx] = self._per_target.get(idx, 0) + 1
-                if not info.ok:
-                    self._errors += 1
         self._live_jobs -= 1
         if self._live_jobs == 0:
             self.finished.succeed()

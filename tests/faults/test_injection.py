@@ -6,10 +6,11 @@ import pytest
 
 from repro.baselines import build_bmstore, build_native
 from repro.experiments.common import quick_cases, run_case
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, get_preset
 from repro.nvme.spec import StatusCode
 from repro.obs import MetricsRegistry
 from repro.sim.units import MS, ms, us
+from repro.workloads.fio import FioSpec
 
 
 def _one_read(rig, driver, lba=0):
@@ -121,6 +122,18 @@ def test_same_seed_same_plan_same_bytes():
         json.dumps(b.snapshot, sort_keys=True)
     # and the faults really fired
     assert sum(c.value for c in a.obs.counters("faults_injected").values()) > 0
+
+
+def test_failed_ios_count_as_errors_not_as_completions():
+    """Under cmd-drop every write in this short window ends in error:
+    fio reports them as errors and moves no bytes, IOPS or latency."""
+    spec = FioSpec("all-fail", "write", 128 * 1024, iodepth=16, numjobs=4,
+                   runtime_ns=3 * MS, ramp_ns=11 * MS)
+    case = run_case("bmstore", spec, seed=7, faults=get_preset("cmd-drop"))
+    assert case.errors > 0
+    assert case.fio.ios == 0 and case.iops == 0
+    assert case.fio.bytes_moved == 0 and case.fio.per_target_ios == {}
+    assert case.latency is None
 
 
 # ------------------------------------------- hot remove + managed recovery
