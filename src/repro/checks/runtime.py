@@ -38,7 +38,7 @@ checker     invariants (hook points)
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, Sequence
 
 from ..sim import SimulationError
 from ..sim.units import PAGE_SIZE
@@ -322,7 +322,7 @@ class CheckContext:
                        head=cq.head, tail=cq.tail)
 
     # -------------------------------------------------------- hooks: prp
-    def on_prp_chain(self, pages: list, length: int, span=None,
+    def on_prp_chain(self, pages: Sequence[int], length: int, span=None,
                      memory_name: Optional[str] = None, where: str = "") -> None:
         """Validate a resolved PRP chain (SSD or engine side).
 

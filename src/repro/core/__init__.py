@@ -21,6 +21,7 @@ __all__ = [
     "FUNCTION_ID_BITS",
     "decode_global_prp",
     "encode_global_prp",
+    "encode_global_prps",
     "is_global_prp",
     "BMSEngine",
     "EngineNamespace",
@@ -53,7 +54,7 @@ __getattr__, __dir__ = lazy_exports(__name__, __all__, {
     ),
     "dma_routing": (
         "ADDRESS_MASK", "FUNCTION_ID_BITS", "decode_global_prp",
-        "encode_global_prp", "is_global_prp",
+        "encode_global_prp", "encode_global_prps", "is_global_prp",
     ),
     "engine": ("BMSEngine", "EngineNamespace", "EngineTimings"),
     "fpga_resources": ("ZU19EG_TOTALS", "FPGAResourceModel", "FPGAResources"),

@@ -14,7 +14,7 @@ reported unsupported on these slots (the NVMe drives keep it).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ..nvme.command import SQE
 from ..nvme.prp import page_spans, prp_list_bytes, walk_prps
@@ -90,7 +90,7 @@ class ExtendedBackendSlot(SlotBase):
         )
 
     # ------------------------------------------------------------ data moves
-    def _resolve_pages(self, sqe: SQE, length: int) -> list[int]:
+    def _resolve_pages(self, sqe: SQE, length: int) -> Sequence[int]:
         """Global-PRP pages of the command (the list lives in the
         engine's PRP pool: chip memory, or the CXL tier once spilled)."""
         prp_list = None

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from ..host.policy import DMA_MODELS
 from ..sim import SimulationError
@@ -33,6 +34,7 @@ __all__ = [
     "DMATranslation",
     "DescriptorRingDMA",
     "encode_global_prp",
+    "encode_global_prps",
     "decode_global_prp",
     "is_global_prp",
 ]
@@ -97,6 +99,21 @@ def encode_global_prp(function_id: int, host_addr: int, is_list: bool = False) -
     )
 
 
+def encode_global_prps(function_id: int, pages: Sequence[int]) -> Sequence[int]:
+    """:func:`encode_global_prp` over a PRP chain (see
+    :mod:`repro.nvme.prp`): a run maps to a run, a list to a list.
+
+    A run is monotone, so its first and last pages bound every other
+    against the 48-bit limit; the tag sits above bit 48, so tagging
+    shifts the whole run by one constant.
+    """
+    if isinstance(pages, range):
+        first = encode_global_prp(function_id, pages[0])
+        encode_global_prp(function_id, pages[-1])
+        return range(first, first + len(pages) * pages.step, pages.step)
+    return [encode_global_prp(function_id, addr) for addr in pages]
+
+
 def decode_global_prp(global_prp: int) -> tuple[int, int, bool]:
     """Split a global PRP into (function_id, host_addr, is_list)."""
     function_id = (global_prp >> FUNCTION_ID_SHIFT) & _FN_MASK
@@ -120,8 +137,9 @@ class DMATranslation:
     a *guest* host address, so the engine hands the device-side queue
     pair one of these: :meth:`tag` stamps the owning function id into
     each address (turning it into a global PRP the engine's root space
-    routes out the front), and ``lba_offset``/``num_blocks`` shift and
-    bound guest LBAs into the drive's physical window.
+    routes out the front; :meth:`tag_pages` a whole chain), and
+    ``lba_offset``/``num_blocks`` shift and bound guest LBAs into the
+    drive's physical window.
     """
 
     fn_id: int
@@ -134,6 +152,9 @@ class DMATranslation:
 
     def tag(self, addr: int) -> int:
         return encode_global_prp(self.fn_id, addr)
+
+    def tag_pages(self, pages: Sequence[int]) -> Sequence[int]:
+        return encode_global_prps(self.fn_id, pages)
 
     def fire_irq(self, cq):
         """An MSI-X thunk for ``CompletionQueue.note_cqe``: raises the

@@ -21,7 +21,7 @@ the converted global PRP lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..host.environment import Host
 from ..host.memory import BufferPool, HostMemory
@@ -38,7 +38,7 @@ from .dma_routing import (
     DescriptorRingDMA,
     RouteStats,
     decode_global_prp,
-    encode_global_prp,
+    encode_global_prps,
     is_global_prp,
 )
 from .hooks import EngineHooks, run_handler
@@ -476,7 +476,7 @@ class BMSEngine:
         # (paper Fig. 4b: each host page tagged with the function id)
         fn_id = fn.fn_id
         self.forward_io(sqe.opcode, extents,
-                        [encode_global_prp(fn_id, addr) for addr in host_pages],
+                        encode_global_prps(fn_id, host_pages),
                         sqe.payload, span, self._front_done(fn, qid, sqe))
         if span is not None:
             span.stamp("forward", self.sim.now)
@@ -541,16 +541,16 @@ class BMSEngine:
             return None
         return extents
 
-    def forward_io(self, opcode: int, extents, pages: list[int], payload,
+    def forward_io(self, opcode: int, extents, pages: Sequence[int], payload,
                    span: Optional[IOSpan], on_done) -> None:
         """Step ③: one back-end command per extent, fanned in to ``on_done``.
 
         ``pages`` holds one resolved DMA page address per block (global
         PRPs for host commands, pooled chip-buffer pages for pushdown
-        hops).  A fragment's PRP list (if it needs one) lives in a
-        pooled buffer, freed when the last extent completes; then
-        ``on_done(status)`` runs with SUCCESS, or with a failed extent's
-        status.
+        hops); a run's per-extent slices stay runs.  A fragment's PRP
+        list (if it needs one) lives in a pooled buffer, freed when the
+        last extent completes; then ``on_done(status)`` runs with
+        SUCCESS, or with a failed extent's status.
         """
         pool = self._prp_pool
         chains: list[tuple[int, int, int]] = []

@@ -13,12 +13,21 @@ them back with :func:`release_prps`; consumers (the engine, the SSD, the
 SATA/remote slots) size the list fetch with :func:`prp_list_bytes`,
 fetch it themselves (the fetch is what costs simulated time), and
 resolve the chain with :func:`walk_prps`.
+
+A chain is a sequence of page addresses.  When its pages are
+contiguous and page-aligned it is a *run*, a ``range(start, stop,
+PAGE_SIZE)``, so a 128 KiB command's chain costs the same few words as
+a 4 KiB one; otherwise it is a list.  Only the producers
+(:func:`pages_for`, :func:`build_prps`, :func:`walk_prps` and the
+engine's tagging, :func:`repro.core.dma_routing.encode_global_prps`)
+tell the two shapes apart; consumers index, slice, ``len`` and iterate
+a chain and never test its type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from ..sim import SimulationError
 from ..sim.units import PAGE_SIZE
@@ -40,27 +49,26 @@ __all__ = [
 PRP_ENTRY_BYTES = 8
 
 
-@dataclass
+@dataclass(slots=True)
 class PRPList:
     """A PRP list stored at ``addr`` in some memory."""
 
     addr: int
-    entries: list[int]
+    entries: Sequence[int]
 
 
-def pages_for(buffer_addr: int, length: int) -> list[int]:
-    """Page-granular addresses covering [buffer_addr, buffer_addr+length)."""
+def pages_for(buffer_addr: int, length: int) -> Sequence[int]:
+    """Page-granular addresses covering [buffer_addr, buffer_addr+length):
+    a run for a page-aligned buffer, else the offset first page plus
+    the aligned pages after it, as a list."""
     if length <= 0:
         return []
-    pages = []
-    addr = buffer_addr
-    remaining = length
-    while remaining > 0:
-        pages.append(addr)
-        step = PAGE_SIZE - (addr % PAGE_SIZE)
-        addr += step
-        remaining -= step
-    return pages
+    end = buffer_addr + length
+    offset = buffer_addr % PAGE_SIZE
+    if not offset:
+        return range(buffer_addr, end + (-end % PAGE_SIZE), PAGE_SIZE)
+    after = buffer_addr - offset + PAGE_SIZE
+    return [buffer_addr, *range(after, end, PAGE_SIZE)]
 
 
 def _page_count(prp1: int, length: int) -> int:
@@ -74,12 +82,13 @@ def prp_list_bytes(prp1: int, length: int) -> int:
     return (npages - 1) * PRP_ENTRY_BYTES if npages > 2 else 0
 
 
-def build_prps(pool: "BufferPool", pages: list[int]) -> tuple[int, int]:
+def build_prps(pool: "BufferPool", pages: Sequence[int]) -> tuple[int, int]:
     """Build PRP entries for resolved data pages; returns (prp1, prp2).
 
     Beyond two pages the list buffer comes from ``pool`` and the
     :class:`PRPList` is parked at its address (list semantics are
     flagged by the consumer knowing the transfer size, as in the spec).
+    The entries are ``pages[1:]``, a run when ``pages`` is one.
     Hand it back with :func:`release_prps` once the command completes.
     """
     if not pages:
@@ -107,11 +116,13 @@ def release_prps(pool: "BufferPool", prp1: int, prp2: int, length: int) -> None:
         pool.put(prp2, nbytes)
 
 
-def walk_prps(prp1: int, prp2: int, length: int, prp_list: Any) -> list[int]:
+def walk_prps(prp1: int, prp2: int, length: int, prp_list: Any) -> Sequence[int]:
     """Resolve (prp1, prp2, length) into page addresses.
 
     ``prp_list`` is what the consumer fetched from ``prp2`` when
-    :func:`prp_list_bytes` is non-zero (ignored otherwise).
+    :func:`prp_list_bytes` is non-zero (ignored otherwise).  A run of
+    entries that continues an aligned ``prp1`` page by page resolves to
+    a run; any other chain to a list.
 
     Per the NVMe spec only ``prp1`` may carry a page offset: ``prp2``
     as a second data pointer and every PRP-list entry must be
@@ -133,15 +144,21 @@ def walk_prps(prp1: int, prp2: int, length: int, prp_list: Any) -> list[int]:
     if len(prp_list.entries) < npages - 1:
         raise SimulationError("PRP list shorter than the transfer")
     used = prp_list.entries[: npages - 1]
-    for item in used:
-        if item % PAGE_SIZE:
-            raise SimulationError(
-                f"PRP list entry {item:#x} is not page-aligned"
-            )
+    if isinstance(used, range) and not (used.start | used.step) % PAGE_SIZE:
+        # an aligned start and an aligned step align every entry
+        if used.step == PAGE_SIZE and used.start == prp1 + PAGE_SIZE \
+                and not prp1 % PAGE_SIZE:
+            return range(prp1, prp1 + npages * PAGE_SIZE, PAGE_SIZE)
+    else:
+        for item in used:
+            if item % PAGE_SIZE:
+                raise SimulationError(
+                    f"PRP list entry {item:#x} is not page-aligned"
+                )
     return [prp1, *used]
 
 
-def page_spans(pages: list[int], length: int) -> Iterator[tuple[int, int, int]]:
+def page_spans(pages: Sequence[int], length: int) -> Iterator[tuple[int, int, int]]:
     """``(addr, offset, nbytes)`` for each page a transfer touches:
     ``offset`` is the span's position within the transfer's bytes."""
     offset = 0

@@ -15,7 +15,7 @@ data.  Performance runs elide payloads and only timing is charged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..sim.units import PAGE_SIZE
 from ..pcie.config_space import ConfigSpace
@@ -361,10 +361,10 @@ class NVMeSSD:
         if translation is not None:
             # guest PRPs name host pages: tag each with the function id
             # so the engine's root space routes the TLPs out the front
-            pages = [translation.tag(p) for p in pages]
+            pages = translation.tag_pages(pages)
         return pages
 
-    def _dma_out(self, pages: list[int], length: int, payload: Optional[bytes],
+    def _dma_out(self, pages: Sequence[int], length: int, payload: Optional[bytes],
                  era: int):
         """DMA data toward the PRP pages (device -> memory)."""
         if payload is None:
@@ -375,7 +375,7 @@ class NVMeSSD:
             self._check_present(era)
             yield self.port.mem_write(page_addr, chunk, payload[offset : offset + chunk])
 
-    def _dma_in(self, pages: list[int], length: int, want_data: bool, era: int):
+    def _dma_in(self, pages: Sequence[int], length: int, want_data: bool, era: int):
         """DMA data from the PRP pages (memory -> device)."""
         if not want_data:
             self._check_present(era)

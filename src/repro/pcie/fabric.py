@@ -6,7 +6,9 @@ Every attached endpoint gets a :class:`Port` with a full-duplex pair of
 from the root).  Transactions are routed by memory address through
 *windows*; anything not claimed by a window goes to the *root handler*
 (host DRAM on the host fabric; the BMS-Engine's DMA router on the
-back-end fabric).
+back-end fabric).  Routing is a scan of the (one to four) windows on
+every transaction, with no per-address memo: a fabric's routing state
+is its window list, whatever addresses its DMA touches.
 
 Timing model per transaction:
 
@@ -70,12 +72,8 @@ class _Window:
     def __init__(self, base: int, size: int, handler: AddressHandler, port: Optional["Port"]):
         self.base = base
         self.end = base + size
-        # the (handler, port) pair every address in the window resolves
-        # to: one shared tuple, however many addresses the memo caches
+        # the (handler, port) pair every address in the window resolves to
         self.route = (handler, port)
-
-    def contains(self, addr: int) -> bool:
-        return self.base <= addr < self.end
 
 
 class Port:
@@ -151,10 +149,6 @@ class PCIeFabric:
         self._ports: list[Port] = []
         self._root_route: Optional[tuple[AddressHandler, None]] = None
         self._root_vdm_handler: Optional[Callable[[VendorDefinedMessage], None]] = None
-        # addr -> (handler, port) memo: ring slots, doorbells and DMA
-        # buffers hit the same addresses constantly; invalidated when
-        # the window list or root handler changes
-        self._resolve_cache: dict[int, tuple[AddressHandler, Optional[Port]]] = {}
         # constant event labels (an f-string per transaction is pure
         # allocation churn on the hot path)
         self._wr_name = name + ":wr"
@@ -177,7 +171,6 @@ class PCIeFabric:
     def set_root_handler(self, handler: AddressHandler) -> None:
         """Claim all unclaimed addresses (host DRAM / engine chip space)."""
         self._root_route = (handler, None)
-        self._resolve_cache.clear()
 
     def set_root_vdm_handler(self, handler: Callable[[VendorDefinedMessage], None]) -> None:
         self._root_vdm_handler = handler
@@ -190,26 +183,17 @@ class PCIeFabric:
                     f"[{existing.base:#x},{existing.end:#x})"
                 )
         self._windows.append(window)
-        self._resolve_cache.clear()
 
     def _resolve(self, addr: int) -> tuple[AddressHandler, Optional[Port]]:
-        cache = self._resolve_cache
-        hit = cache.get(addr)
-        if hit is not None:
-            return hit
         for window in self._windows:
-            if window.contains(addr):
-                result = window.route
-                break
-        else:
-            result = self._root_route
-            if result is None:
-                raise SimulationError(
-                    f"{self.name}: no window claims address {addr:#x} and no root handler"
-                )
-        if len(cache) < 65536:
-            cache[addr] = result
-        return result
+            if window.base <= addr < window.end:
+                return window.route
+        route = self._root_route
+        if route is None:
+            raise SimulationError(
+                f"{self.name}: no window claims address {addr:#x} and no root handler"
+            )
+        return route
 
     # -- routed transactions -------------------------------------------------
     def _routed_write(self, src: Port, addr: int, length: int,

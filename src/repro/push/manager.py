@@ -284,7 +284,7 @@ class PushManager:
         buf = pool.get(length)
         done = engine.sim.event(name="push.hop")
         engine.forward_io(opcode, extents,
-                          [buf + i * PAGE_SIZE for i in range(nblocks)],
+                          range(buf, buf + nblocks * PAGE_SIZE, PAGE_SIZE),
                           payload, span, done.succeed)
         status = yield done
         data = None

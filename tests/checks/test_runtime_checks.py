@@ -148,6 +148,17 @@ def test_prp_checker_rejects_short_chain():
         ctx.on_prp_chain([0, PAGE_SIZE], 3 * PAGE_SIZE, where="t")
 
 
+def test_prp_checker_reads_runs_entry_by_entry():
+    ctx = CheckContext(checkers=["prp"])
+    ctx.on_prp_chain(range(0, 4 * PAGE_SIZE, PAGE_SIZE), 4 * PAGE_SIZE, where="t")
+    with pytest.raises(InvariantViolation, match="not page-aligned"):
+        ctx.on_prp_chain(range(0, 3 * PAGE_SIZE, PAGE_SIZE + 8),
+                         3 * PAGE_SIZE, where="t")
+    with pytest.raises(InvariantViolation, match="cover"):
+        ctx.on_prp_chain(range(0, 2 * PAGE_SIZE, PAGE_SIZE), 3 * PAGE_SIZE,
+                         where="t")
+
+
 def test_prp_checker_detects_double_free_and_freed_reuse():
     ctx = CheckContext(checkers=["prp"])
     sim, mem = make_mem(ctx)

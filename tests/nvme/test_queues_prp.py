@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import encode_global_prp, encode_global_prps
 from repro.host.memory import PAGE_SIZE, BufferPool, HostMemory
 from repro.nvme import (
     CQE,
@@ -237,3 +238,110 @@ def test_page_spans_cover_transfer_from_offset_first_page():
         (2 * PAGE_SIZE, PAGE_SIZE - 100, PAGE_SIZE),
         (3 * PAGE_SIZE, 2 * PAGE_SIZE - 100, 100),
     ]
+
+
+# ------------------------------------------------------------ runs == lists
+def _page_list(buffer_addr, length):
+    """The page-by-page loop chains were built with before runs."""
+    pages = []
+    addr, remaining = buffer_addr, length
+    while remaining > 0:
+        pages.append(addr)
+        step = PAGE_SIZE - addr % PAGE_SIZE
+        addr += step
+        remaining -= step
+    return pages
+
+
+@given(st.integers(1, 64), st.integers(0, PAGE_SIZE - 1), st.integers(0, 3))
+def test_run_chains_resolve_to_the_page_list(npages, offset, tail):
+    """Build then walk, aligned or not: the same pages as the old loop,
+    as a run exactly when the buffer is page-aligned."""
+    sim, mem = make_mem()
+    length = npages * PAGE_SIZE - tail
+    buf = mem.alloc(length + PAGE_SIZE) + offset
+    expected = _page_list(buf, length)
+    pages = pages_for(buf, length)
+    assert list(pages) == expected
+    assert isinstance(pages, range) == (offset == 0)
+    prp1, prp2 = build_prps(BufferPool(mem), pages)
+    walked = walk_prps(prp1, prp2, length, mem.load_obj(prp2))
+    assert list(walked) == expected
+    if offset == 0 and len(expected) > 2:
+        assert isinstance(walked, range)
+
+
+@given(st.integers(1, 127), st.integers(1, 64), st.integers(0, 1 << 20),
+       st.lists(st.integers(1, 16), min_size=1, max_size=4))
+def test_tagging_and_extent_slices_keep_runs(fn, npages, page0, cuts):
+    """Tagging a run equals tagging each page; each extent's slice of a
+    tagged run is still a run, and builds/walks to the same pages."""
+    run = range(page0 * PAGE_SIZE, (page0 + npages) * PAGE_SIZE, PAGE_SIZE)
+    tagged = encode_global_prps(fn, run)
+    assert isinstance(tagged, range)
+    assert list(tagged) == [encode_global_prp(fn, a) for a in run]
+    assert encode_global_prps(fn, list(run)) == list(tagged)
+    sim, mem = make_mem()
+    pool = BufferPool(mem)
+    off = 0
+    for cnt in cuts:
+        frag = tagged[off : off + cnt]
+        if not frag:
+            break
+        assert isinstance(frag, range)
+        prp1, prp2 = build_prps(pool, frag)
+        walked = walk_prps(prp1, prp2, len(frag) * PAGE_SIZE,
+                           mem.load_obj(prp2))
+        assert list(walked) == list(frag)
+        off += cnt
+
+
+def test_unaligned_run_in_a_prp_list_rejected():
+    sim, mem = make_mem()
+    list_addr = mem.alloc(4 * 8, align=8)
+    entries = range(2 * PAGE_SIZE + 4, 5 * PAGE_SIZE, PAGE_SIZE)
+    mem.store_obj(list_addr, PRPList(list_addr, entries))
+    with pytest.raises(SimulationError, match="list entry .* not page-aligned"):
+        walk_prps(0x1000, list_addr, 4 * PAGE_SIZE, mem.load_obj(list_addr))
+
+
+def test_run_with_an_unaligned_step_rejected():
+    # an aligned start alone does not align a run's later entries
+    sim, mem = make_mem()
+    list_addr = mem.alloc(4 * 8, align=8)
+    entries = range(2 * PAGE_SIZE, 5 * PAGE_SIZE, PAGE_SIZE + 8)
+    mem.store_obj(list_addr, PRPList(list_addr, entries))
+    with pytest.raises(SimulationError, match="list entry .* not page-aligned"):
+        walk_prps(0x1000, list_addr, 4 * PAGE_SIZE, mem.load_obj(list_addr))
+
+
+def test_short_run_list_rejected():
+    sim, mem = make_mem()
+    list_addr = mem.alloc(4 * 8, align=8)
+    entries = range(2 * PAGE_SIZE, 4 * PAGE_SIZE, PAGE_SIZE)
+    mem.store_obj(list_addr, PRPList(list_addr, entries))
+    with pytest.raises(SimulationError, match="shorter"):
+        walk_prps(0x1000, list_addr, 4 * PAGE_SIZE, mem.load_obj(list_addr))
+
+
+def test_run_not_continuing_prp1_walks_to_a_list():
+    sim, mem = make_mem()
+    list_addr = mem.alloc(4 * 8, align=8)
+    entries = range(8 * PAGE_SIZE, 11 * PAGE_SIZE, PAGE_SIZE)
+    mem.store_obj(list_addr, PRPList(list_addr, entries))
+    pages = walk_prps(0x1000, list_addr, 4 * PAGE_SIZE, mem.load_obj(list_addr))
+    assert pages == [0x1000, 8 * PAGE_SIZE, 9 * PAGE_SIZE, 10 * PAGE_SIZE]
+
+
+def test_run_crossing_48_bits_rejected():
+    run = range((1 << 48) - 2 * PAGE_SIZE, (1 << 48) + PAGE_SIZE, PAGE_SIZE)
+    with pytest.raises(SimulationError, match="exceeds 48 bits"):
+        encode_global_prps(1, run)
+    with pytest.raises(SimulationError, match="exceeds 48 bits"):
+        encode_global_prps(1, run[::-1])
+
+
+@pytest.mark.parametrize("fn", [0, 128])
+def test_run_with_function_id_out_of_range_rejected(fn):
+    with pytest.raises(SimulationError, match="function id"):
+        encode_global_prps(fn, range(0, 4 * PAGE_SIZE, PAGE_SIZE))

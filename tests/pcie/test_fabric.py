@@ -1,8 +1,11 @@
 """PCIe fabric routing, timing, config space, and MSI-X tests."""
 
+import tracemalloc
+
 import pytest
 
 from repro.host.memory import HostMemory
+from repro.pcie import fabric as fabric_module
 from repro.pcie import (
     ConfigSpace,
     InterruptController,
@@ -117,6 +120,77 @@ def test_unclaimed_address_without_root_handler_errors():
     port = fabric.attach("dev0")
     with pytest.raises(SimulationError, match="no window claims"):
         port.mem_write(0x5000, 4)
+
+
+WIN_SIZE = 0x1000_0000
+#: windows 0 and 1 touch, so window 0's end is window 1's base
+WIN_BASES = (0x1_0000_0000, 0x1_1000_0000, 0x2_0000_0000, 0x3_0000_0000)
+
+
+def make_four_window_fabric():
+    sim, fabric, mem = make_fabric()
+    sinks = [_Sink() for _ in WIN_BASES]
+    for i, (base, sink) in enumerate(zip(WIN_BASES, sinks)):
+        fabric.attach(f"ssd{i}").map_window(base, WIN_SIZE, sink)
+    return sim, fabric, mem, sinks
+
+
+def _route(sim, fabric, addr):
+    sim.run(fabric.cpu_write(addr, 8))
+
+
+def test_window_edges_route_to_their_owner():
+    sim, fabric, mem, sinks = make_four_window_fabric()
+    owners = {WIN_BASES[1]: sinks[1], WIN_BASES[3] + WIN_SIZE: mem}
+    for base, sink in zip(WIN_BASES, sinks):
+        owners.setdefault(base, sink)
+        owners.setdefault(base + WIN_SIZE - 1, sink)
+        owners.setdefault(base + WIN_SIZE, mem)
+    for addr, owner in owners.items():
+        written = mem.bytes_written
+        counts = [len(s.writes) for s in sinks]
+        _route(sim, fabric, addr)
+        if owner is mem:
+            assert mem.bytes_written == written + 8, hex(addr)
+            assert [len(s.writes) for s in sinks] == counts, hex(addr)
+        else:
+            assert owner.writes[-1][0] == addr, hex(addr)
+            assert mem.bytes_written == written, hex(addr)
+
+
+def test_routing_keeps_no_per_address_state():
+    sim, fabric, _, _ = make_four_window_fabric()
+    bases = (0,) + WIN_BASES
+    _route(sim, fabric, 0x40)  # warm every lazily built piece first
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        for i in range(10_000):
+            addr = bases[i % len(bases)] + (i // len(bases)) * 64
+            fabric._resolve(addr)
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    only_fabric = [tracemalloc.Filter(True, fabric_module.__file__)]
+    grown = sum(stat.size_diff for stat in after.filter_traces(only_fabric)
+                .compare_to(before.filter_traces(only_fabric), "filename"))
+    assert grown <= 0
+
+
+def test_set_root_handler_after_routing_takes_effect_at_once():
+    sim, fabric, mem, sinks = make_four_window_fabric()
+    addr = 0x5000
+    _route(sim, fabric, addr)
+    assert mem.bytes_written == 8
+    new_root = _Sink()
+    fabric.set_root_handler(new_root)
+    _route(sim, fabric, addr)
+    assert new_root.writes == [(addr, 8, None)]
+    assert mem.bytes_written == 8
+    # windows still win over the new root
+    _route(sim, fabric, WIN_BASES[2])
+    assert sinks[2].writes[-1][0] == WIN_BASES[2]
+    assert len(new_root.writes) == 1
 
 
 def test_bandwidth_shapes_transfer_time():
