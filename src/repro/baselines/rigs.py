@@ -57,6 +57,7 @@ def _base_world(
     only, so the datapath hooks stay on their ``faults is None`` path.
     """
     sim = Simulator()
+    obs = obs or sim.obs  # None: the world's own counters-only registry
     injector = None
     if faults is not None and faults.specs:
         from ..faults.injector import FaultInjector
@@ -82,7 +83,7 @@ class _Instruments:
     """A rig's view of the instruments armed on its simulator."""
 
     @property
-    def obs(self) -> Optional[MetricsRegistry]:
+    def obs(self) -> MetricsRegistry:
         return self.sim.obs
 
     @property

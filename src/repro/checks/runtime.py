@@ -40,6 +40,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Iterable, Optional, Sequence
 
+from ..obs.metrics import MetricsRegistry
 from ..sim import SimulationError
 from ..sim.units import PAGE_SIZE
 
@@ -151,9 +152,10 @@ class CheckContext:
 
     ``checkers`` selects a subset of :data:`CHECKER_NAMES` (``None`` =
     all).  Every check invocation increments the per-checker
-    ``invariant_checks{checker=...}`` counter on ``obs`` (when given)
-    plus the local :attr:`counts`, so clean runs can prove the hooks
-    actually executed.
+    ``invariant_checks{checker=...}`` counter on ``obs`` (the world's
+    registry; a context built alone keeps a counters-only one of its
+    own) plus the local :attr:`counts`, so clean runs can prove the
+    hooks actually executed.
     """
 
     def __init__(self, checkers: Optional[Iterable[str]] = None, obs=None):
@@ -164,7 +166,7 @@ class CheckContext:
                 f"unknown checker(s) {unknown} (known: {', '.join(CHECKER_NAMES)})"
             )
         self.enabled = frozenset(names)
-        self.obs = obs
+        obs = obs or MetricsRegistry(mode="counters")
         self.ring = "ring" in self.enabled
         self.prp = "prp" in self.enabled
         self.lba = "lba" in self.enabled
@@ -173,10 +175,8 @@ class CheckContext:
         self.push = "push" in self.enabled
         self.counts: dict[str, int] = {name: 0 for name in names}
         self.violations = 0
-        self._counters = {}
-        if obs is not None:
-            for name in names:
-                self._counters[name] = obs.counter("invariant_checks", checker=name)
+        self._counters = {name: obs.counter("invariant_checks", checker=name)
+                          for name in names}
         self._rings: dict[int, _RingState] = {}
         self._ring_objs: list = []  # keep rings alive so ids stay unique
         self._qos_states: dict[int, _QoSState] = {}
@@ -198,9 +198,7 @@ class CheckContext:
     # ------------------------------------------------------------- plumbing
     def _note(self, checker: str) -> None:
         self.counts[checker] += 1
-        c = self._counters.get(checker)
-        if c is not None:
-            c.inc()
+        self._counters[checker].inc()
 
     def _fail(self, checker: str, message: str, span=None, **context) -> None:
         self.violations += 1

@@ -150,8 +150,6 @@ class BMSController:
             return MIStatus.SUCCESS, body
         if op == int(MIOpcode.IO_MONITOR_SNAPSHOT):
             body = yield from self.io_monitor_snapshot()
-            if body is None:
-                return MIStatus.UNSUPPORTED, {"error": "no metrics registry attached"}
             return MIStatus.SUCCESS, body
         if op == int(MIOpcode.CREATE_NAMESPACE):
             self.engine.create_namespace(
@@ -226,13 +224,11 @@ class BMSController:
         return body
 
     def io_monitor_snapshot(self):
-        """Full observability dump: the engine's attached registry.
+        """Full observability dump: the world's metrics registry.
 
         Models the paper's I/O monitor export path — the sampling cost
         is charged per metric batch before the snapshot is taken.
         """
-        if self.engine.obs is None:
-            return None
         yield self.sim.timeout(self.engine.timings.monitor_sample_ns)
         return self.engine.obs.snapshot()
 
@@ -414,8 +410,7 @@ class BMSController:
         self.hotplug_reports.append(report)
         self.recoveries += 1
         self.note_fault("reattach", str(ssd_id))
-        if self.engine.obs is not None:
-            self.engine.obs.counter("bmsc_recoveries", slot=str(ssd_id)).inc()
+        self.engine.obs.counter("bmsc_recoveries", slot=str(ssd_id)).inc()
 
     # --------------------------------------------------------- in-band admin
     def _inband_admin_loop(self):

@@ -226,11 +226,9 @@ class CXLBufferTier:
         self.hits_cxl = 0
         self.revoked_inflight = 0
         obs = engine.obs
-        self._c_spills = self._g_hit = self._g_borrowed = None
-        if obs is not None:
-            self._c_spills = obs.counter("cxl_spills", engine=engine.name)
-            self._g_hit = obs.gauge("cxl_hit_ratio", engine=engine.name)
-            self._g_borrowed = obs.gauge("borrowed_bytes", engine=engine.name)
+        self._c_spills = obs.counter("cxl_spills", engine=engine.name)
+        self._g_hit = obs.gauge("cxl_hit_ratio", engine=engine.name)
+        self._g_borrowed = obs.gauge("borrowed_bytes", engine=engine.name)
         engine._prp_pool.tier = self
         # the drive's DRAM leaves with it: its borrow grants die once
         # the slot has failed its commands
@@ -277,32 +275,34 @@ class CXLBufferTier:
                     )
         self.spills += 1
         self.spilled_bytes += nbytes
-        if self._c_spills is not None:
-            self._c_spills.inc()
+        self._c_spills.inc()
         self._publish()
         return addr
 
     def note_get(self, nbytes: int, onchip: bool,
-                 idle_spilled: Optional[list[int]] = None) -> None:
+                 idle_spilled: bool = False) -> bool:
         """Account one pool serve; drive the promote hysteresis.
 
-        ``idle_spilled`` is the pool's spilled free bucket for this size
-        (may be None/empty): after ``promote_after`` consecutive on-card
-        serves one idle spilled buffer is retired back to its source.
+        ``idle_spilled`` says the pool holds an idle spilled buffer of
+        this size.  Returns True after ``promote_after`` consecutive
+        on-card serves: the pool then takes one such buffer out of its
+        bucket and hands it to :meth:`retire`.
         """
+        promote = False
         if onchip:
             self.hits_onchip += 1
             if idle_spilled:
                 run = self._onchip_runs.get(nbytes, 0) + 1
                 if run >= self.timings.promote_after:
-                    self.retire(idle_spilled.pop(), nbytes)
                     self.promotes += 1
+                    promote = True
                     run = 0
                 self._onchip_runs[nbytes] = run
         else:
             self.hits_cxl += 1
             self._onchip_runs[nbytes] = 0
         self._publish()
+        return promote
 
     def retire(self, addr: int, nbytes: int) -> None:
         """Hand spilled capacity back: window free list or the lender."""
@@ -326,9 +326,8 @@ class CXLBufferTier:
         return self.hits_onchip / total if total else 1.0
 
     def _publish(self) -> None:
-        if self._g_hit is not None:
-            self._g_hit.set(round(self.hit_ratio, 6))
-            self._g_borrowed.set(self.borrowed_bytes)
+        self._g_hit.set(round(self.hit_ratio, 6))
+        self._g_borrowed.set(self.borrowed_bytes)
 
     # ----------------------------------------------------------- revocation
     def on_slot_removed(self, ssd_id: int, removed=None) -> None:

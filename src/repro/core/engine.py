@@ -444,8 +444,7 @@ class BMSEngine:
                                          span)
         if extents is None:
             self._fn_stats[fn.fn_id].errors += 1
-            if self.obs is not None:
-                self.obs.counter("ns_errors", ns=fn.ns_key).inc()
+            self.obs.counter("ns_errors", ns=fn.ns_key).inc()
             self.post_front_cqe(fn, qid, sqe.cid, int(StatusCode.LBA_OUT_OF_RANGE), 0,
                                 span=span)
             return
@@ -720,7 +719,7 @@ class BMSEngine:
         elif opcode == int(IOOpcode.WRITE):
             stats.write_ops += 1
             stats.write_bytes += length
-        if self.obs is not None and ns_key is not None:
+        if ns_key is not None:
             direction = "read" if opcode == int(IOOpcode.READ) else "write"
             handles = self._ns_io_counters.get((ns_key, direction))
             if handles is None:
@@ -780,6 +779,5 @@ class BMSEngine:
         removed = self.adaptor.slot_for(ssd_id).surprise_remove()
         for _before, after in removal_hooks:
             after(ssd_id, removed)
-        if self.obs is not None:
-            self.obs.counter("engine_surprise_removes", slot=str(ssd_id)).inc()
+        self.obs.counter("engine_surprise_removes", slot=str(ssd_id)).inc()
         return removed

@@ -50,7 +50,7 @@ class _NamespaceQoS:
     def __init__(self, sim: Simulator, ns_key: str, limits: QoSLimits):
         self.sim = sim
         self.ns_key = ns_key
-        self.obs = obs = sim.obs
+        obs = sim.obs
         self.limits = limits
         self.iops_bucket = TokenBucket(
             sim, limits.max_iops, limits.burst_ios, name=f"qos.{ns_key}.iops"
@@ -64,10 +64,9 @@ class _NamespaceQoS:
         self._dispatcher_running = False
         #: the world's CheckContext (qos checker); None = dormant, zero-cost
         self.checks = sim.checker("qos")
-        if obs is not None:
-            self._c_passed = obs.counter("qos_passed", ns=ns_key)
-            self._c_buffered = obs.counter("qos_buffered", ns=ns_key)
-            self._g_depth = obs.gauge("qos_buffer_depth", ns=ns_key)
+        self._c_passed = obs.counter("qos_passed", ns=ns_key)
+        self._c_buffered = obs.counter("qos_buffered", ns=ns_key)
+        self._g_depth = obs.gauge("qos_buffer_depth", ns=ns_key)
 
     def over_threshold(self, nbytes: int) -> bool:
         return self.iops_bucket.would_block(1.0) or self.bw_bucket.would_block(nbytes)
@@ -92,17 +91,15 @@ class _NamespaceQoS:
             self.iops_bucket.consume(1.0)
             self.bw_bucket.consume(nbytes)
             self.passed_total += 1
-            if self.obs is not None:
-                self._c_passed.inc()
+            self._c_passed.inc()
             if self.checks is not None:
                 self.checks.on_qos_grant(self, seq, fast=True, span=span)
             return None
         # threshold reached: into the command buffer for rescheduling
         gate = self.sim.event(name="qos.admit")
         self.buffered_total += 1
-        if self.obs is not None:
-            self._c_buffered.inc()
-            self._g_depth.add(1)
+        self._c_buffered.inc()
+        self._g_depth.add(1)
         self.buffer.post((gate, nbytes, seq, span))
         if not self._dispatcher_running:
             self._dispatcher_running = True
@@ -113,15 +110,13 @@ class _NamespaceQoS:
         """Command dispatcher: replay buffered commands in order."""
         while len(self.buffer) > 0:
             gate, nbytes, seq, span = (yield self.buffer.get())
-            if self.obs is not None:
-                # the gauge tracks buffer occupancy, so it drops when the
-                # command leaves the buffer, not when its tokens arrive
-                self._g_depth.add(-1)
+            # the gauge tracks buffer occupancy, so it drops when the
+            # command leaves the buffer, not when its tokens arrive
+            self._g_depth.add(-1)
             yield self.iops_bucket.consume(1.0)
             yield self.bw_bucket.consume(nbytes)
             self.passed_total += 1
-            if self.obs is not None:
-                self._c_passed.inc()
+            self._c_passed.inc()
             if self.checks is not None:
                 self.checks.on_qos_grant(self, seq, fast=False, span=span)
             gate.succeed()

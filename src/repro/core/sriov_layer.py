@@ -117,14 +117,12 @@ class _FrontBarRegion:
             return  # controller-register writes (admin config) — no doorbell
         slot, kind = divmod(db_off // DOORBELL_STRIDE, 2)
         if kind == 0:
-            obs = self.layer.engine.obs
-            if obs is not None:
-                c = self._c_doorbells.get((fn_index, slot))
-                if c is None:
-                    c = self._c_doorbells[(fn_index, slot)] = obs.counter(
-                        "sriov_doorbells", fn=str(fn_index + 1), qid=str(slot)
-                    )
-                c.inc()
+            c = self._c_doorbells.get((fn_index, slot))
+            if c is None:
+                c = self._c_doorbells[(fn_index, slot)] = self.layer.engine.obs.counter(
+                    "sriov_doorbells", fn=str(fn_index + 1), qid=str(slot)
+                )
+            c.inc()
             self.layer.engine.on_front_doorbell(fn_index + 1, slot)
 
     def mem_read(self, addr: int, length: int):

@@ -61,7 +61,6 @@ class TargetController:
 
     def dispatch(self, fn: "FrontEndFunction", qid: int, sqe: SQE):
         """Process generator: route one fetched command."""
-        obs = self.engine.obs
         span = getattr(sqe, "span", None)
         if span is not None:
             span.stamp("fetch", self.engine.sim.now)
@@ -72,28 +71,25 @@ class TargetController:
                 yield self.engine.sim.timeout(stall)
         if qid != 0:
             self.io_commands += 1
-            if obs is not None:
-                c = self._c_io.get((fn.fn_id, qid))
-                if c is None:
-                    c = self._c_io[(fn.fn_id, qid)] = obs.counter(
-                        "tc_io_cmds", fn=str(fn.fn_id), qid=str(qid))
-                c.inc()
+            c = self._c_io.get((fn.fn_id, qid))
+            if c is None:
+                c = self._c_io[(fn.fn_id, qid)] = self.engine.obs.counter(
+                    "tc_io_cmds", fn=str(fn.fn_id), qid=str(qid))
+            c.inc()
             yield from self.engine._handle_io(fn, qid, sqe)
             return
         self.admin_commands += 1
-        if obs is not None:
-            c = self._c_admin.get(fn.fn_id)
-            if c is None:
-                c = self._c_admin[fn.fn_id] = obs.counter(
-                    "tc_admin_cmds", fn=str(fn.fn_id))
-            c.inc()
+        c = self._c_admin.get(fn.fn_id)
+        if c is None:
+            c = self._c_admin[fn.fn_id] = self.engine.obs.counter(
+                "tc_admin_cmds", fn=str(fn.fn_id))
+        c.inc()
         handled = yield from self._engine_local_admin(fn, qid, sqe)
         if handled:
             return
         # management command: hand it to the ARM-side BMS-Controller
         self.admin_forwarded += 1
-        if obs is not None:
-            obs.counter("tc_admin_forwarded", fn=str(fn.fn_id)).inc()
+        self.engine.obs.counter("tc_admin_forwarded", fn=str(fn.fn_id)).inc()
         self.admin_mailbox.post(AdminRequest(self.engine, fn, qid, sqe))
 
     def _engine_local_admin(self, fn: "FrontEndFunction", qid: int, sqe: SQE):

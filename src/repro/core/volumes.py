@@ -126,8 +126,7 @@ class VolumeManager:
         return sum(1 for count in self.refcounts.values() if count > 1)
 
     def _publish_shared(self) -> None:
-        if self.obs is not None:
-            self.obs.gauge("shared_chunks").set(self.shared_chunk_count())
+        self.obs.gauge("shared_chunks").set(self.shared_chunk_count())
 
     # ------------------------------------------------------------- volumes
     def adopt(self, key: str) -> None:
@@ -173,8 +172,7 @@ class VolumeManager:
         for phys in chunks:
             self._incref(phys)
         self.snapshots_created += 1
-        if self.obs is not None:
-            self.obs.counter("snapshots_created").inc()
+        self.obs.counter("snapshots_created").inc()
         return self.volume_stat(snapshot)
 
     def delete_snapshot(self, snapshot: str) -> None:
@@ -204,9 +202,8 @@ class VolumeManager:
         self.volumes[key] = {"kind": "clone", "parent": parent}
         self.faults_by_volume[key] = 0
         self.clones_created += 1
-        if self.obs is not None:
-            self.obs.counter("clones_created").inc()
-            self.obs.counter("clone_provision_ns").inc(self.clone_cost_ns(len(chunks)))
+        self.obs.counter("clones_created").inc()
+        self.obs.counter("clone_provision_ns").inc(self.clone_cost_ns(len(chunks)))
         return ens
 
     def clone_cost_ns(self, nchunks: int) -> int:
@@ -261,8 +258,7 @@ class VolumeManager:
             self.engine._free_chunks[old[0]].append(old[1])
         self.cow_faults += 1
         self.faults_by_volume[ens.key] = self.faults_by_volume.get(ens.key, 0) + 1
-        if self.obs is not None:
-            self.obs.counter("cow_faults", ns=ens.key).inc()
+        self.obs.counter("cow_faults", ns=ens.key).inc()
         if span is not None:
             span.note_fault("cow_fault")
 

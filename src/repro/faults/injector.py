@@ -115,9 +115,7 @@ class FaultInjector:
     # ------------------------------------------------------------ recording
     def _record(self, kind: str, target: str, span=None) -> None:
         self.injected += 1
-        obs = self.sim.obs
-        if obs is not None:
-            obs.counter("faults_injected", kind=kind, target=target).inc()
+        self.sim.obs.counter("faults_injected", kind=kind, target=target).inc()
         if span is not None:
             span.note_fault(kind)
         if self.controller is not None:

@@ -32,6 +32,8 @@ from .policy import DEFAULT_POLICY, SubmissionPolicy
 
 __all__ = ["NVMeControllerTarget", "NVMeDriver", "DriverStats"]
 
+_PUSH_EXEC = int(IOOpcode.PUSH_EXEC)
+
 
 class NVMeControllerTarget(Protocol):
     """What the driver binds to: any standard NVMe controller."""
@@ -118,17 +120,18 @@ class NVMeDriver:
         self._c_submitted: dict[int, Any] = {}
         self._c_interrupts: dict[int, Any] = {}
         self._c_completed: dict[int, Any] = {}
-        if obs is not None:
-            self._c_errors = obs.counter("driver_errors", driver=name)
-            self._h_latency = obs.histogram("io_latency_ns", driver=name)
+        self._c_errors = obs.counter("driver_errors", driver=name)
+        self._h_latency = obs.histogram("io_latency_ns", driver=name)
         #: submission policy: doorbell mode + CQE coalescing.  The
         #: default reproduces the classic MMIO-per-command,
         #: IRQ-per-CQE path with an identical event sequence.
         self.policy = policy if policy is not None else DEFAULT_POLICY
         self._unrung: dict[int, int] = {}
         self._batch_timer_live: set[int] = set()
-        # production-shaped error handling; None = legacy trusting path
-        # with zero extra events per I/O
+        # per-command timeout, abort and retry; None = unsupervised
+        # submission, no supervisor process or timer per I/O.  Like the
+        # world's checks and faults (and unlike its always-present
+        # metrics registry), this dormant state is kept for speed.
         self.fault_policy = fault_policy
         self._pool = BufferPool(host.memory)
         self._lock = Resource(self.sim, 1, name=f"{name}.sqlock")
@@ -170,15 +173,14 @@ class NVMeDriver:
         cq.irq_vector = qid
         self._qps[qid] = qp
         self._next_cid[qid] = 0
-        if self.obs is not None:
-            q = str(qid)
-            self._c_interrupts[qid] = self.obs.counter(
-                "driver_interrupts", driver=self.name, qid=q)
-            if qid != 0:  # the admin queue never submits/completes I/O
-                self._c_submitted[qid] = self.obs.counter(
-                    "driver_submitted", driver=self.name, qid=q)
-                self._c_completed[qid] = self.obs.counter(
-                    "driver_completed", driver=self.name, qid=q)
+        q = str(qid)
+        self._c_interrupts[qid] = self.obs.counter(
+            "driver_interrupts", driver=self.name, qid=q)
+        if qid != 0:  # the admin queue never submits/completes I/O
+            self._c_submitted[qid] = self.obs.counter(
+                "driver_submitted", driver=self.name, qid=q)
+            self._c_completed[qid] = self.obs.counter(
+                "driver_completed", driver=self.name, qid=q)
         self._cqe_stores[qid] = Store(self.sim, name=f"{self.name}.cqe{qid}")
         self._irq_handlers[qid] = lambda _ev, q=qid: self._irq_proc(q)
         self.sim.spawn(self._completion_worker(qid), name=f"{self.name}.sirq{qid}")
@@ -244,61 +246,9 @@ class NVMeDriver:
         return done
 
     def _push_proc(self, invocation: dict, done: Event):
-        start = self.sim.now
-        span = None
-        if self.obs is not None and self.obs.want_span():
-            span = IOSpan("push", origin=self.name)
-            span.stamp("submit", start)
-        yield self.sim.timeout(self.kernel.submit_overhead_ns + self.extra_submit_ns)
-        qid = self._pick_queue()
-        slots = self._slots[qid]
-        if not slots.try_acquire():
-            yield slots.acquire()
-
-        length = PAGE_SIZE  # one page carries the invocation + result
-        buf = self._pool.get(length)
-        self.host.memory.store_obj(buf, invocation)
-        prp1, prp2 = build_prps(self._pool, pages_for(buf, length))
-
-        lock = self._lock
-        contended = not lock.try_acquire()
-        if contended:
-            yield lock.acquire()
-        yield self.sim.timeout(self.contended_lock_ns if contended else self.lock_ns)
-        qp = self._qps[qid]
-        while qp.sq.is_full:
-            lock.release()
-            yield qp.sq.wait_space(self.sim)
-            if not lock.try_acquire():
-                yield lock.acquire()
-            yield self.sim.timeout(self.contended_lock_ns)
-        cid = self._next_cid[qid] = (self._next_cid[qid] + 1) % 0xFFFF
-        sqe = alloc_sqe(
-            opcode=int(IOOpcode.PUSH_EXEC), cid=cid, nsid=self.nsid,
-            slba=0, nlb=0, prp1=prp1, prp2=prp2,
-            submit_time_ns=start,
-        )
-        if span is not None:
-            sqe.span = span
-        addr = qp.sq.push(sqe)
-        pool = self._ctx_pool
-        ctx = pool.pop() if pool else {}
-        ctx["done"] = done
-        ctx["start"] = start
-        ctx["buf"] = buf
-        ctx["length"] = length
-        ctx["want_data"] = False
-        ctx["push"] = True
-        ctx["qid"] = qid
-        ctx["span"] = span
-        ctx["sqe"] = sqe
-        ctx["slot"] = (addr - qp.sq.base) // SQE_BYTES
-        self._pending[(qid, cid)] = ctx
-        self.stats.submitted += 1
-        if self.obs is not None:
-            self._c_submitted[qid].inc()
-        lock.release()
-        self._ring_doorbell(qid, qp)
+        # the submission body is shared; the process keeps its own
+        # generator name, which the dispatch-order fingerprints hash
+        yield from self._submit_proc(_PUSH_EXEC, 0, 0, invocation, False, done)
 
     # ---------------------------------------------------------------- submit
     def _submit_io(
@@ -331,6 +281,7 @@ class NVMeDriver:
         int(IOOpcode.READ): "read",
         int(IOOpcode.WRITE): "write",
         int(IOOpcode.FLUSH): "flush",
+        _PUSH_EXEC: "push",
     }
 
     def _supervised_proc(self, opcode, lba, nblocks, payload, want_data, done):
@@ -376,8 +327,7 @@ class NVMeDriver:
             else:
                 # per-command deadline fired before any CQE arrived
                 self.stats.timeouts += 1
-                if self.obs is not None:
-                    self.obs.counter("driver_timeouts", driver=self.name).inc()
+                self.obs.counter("driver_timeouts", driver=self.name).inc()
                 yield from self._abort_attempt(handle)
                 last_status = int(StatusCode.ABORTED_BY_REQUEST)
             if attempt == attempts - 1:
@@ -386,11 +336,9 @@ class NVMeDriver:
             if delay > 0:
                 yield self.sim.timeout(delay)
             self.stats.retries += 1
-            if self.obs is not None:
-                self.obs.counter("driver_retries", driver=self.name).inc()
+            self.obs.counter("driver_retries", driver=self.name).inc()
         self.stats.retries_exhausted += 1
-        if self.obs is not None:
-            self.obs.counter("driver_retries_exhausted", driver=self.name).inc()
+        self.obs.counter("driver_retries_exhausted", driver=self.name).inc()
         done.succeed(CompletionInfo(False, last_status, None, self.sim.now - start))
 
     def _abort_attempt(self, handle: dict):
@@ -407,7 +355,7 @@ class NVMeDriver:
             if qid in self._slots:
                 self._slots[qid].release()
             span = ctx.get("span")
-            if span is not None and self.obs is not None:
+            if span is not None:
                 span.note_fault("host_timeout")
                 self.obs.finish_span(span)
             # the SQE cannot be freed — its stale ring entry may still
@@ -418,15 +366,16 @@ class NVMeDriver:
             if sqe is not None and ctx.get("slot") is not None:
                 self._qps[qid].sq.note_leaked(ctx["slot"], sqe)
         self.stats.aborts += 1
-        if self.obs is not None:
-            self.obs.counter("driver_aborts", driver=self.name).inc()
+        self.obs.counter("driver_aborts", driver=self.name).inc()
         yield self.admin(AdminOpcode.ABORT, cdw10=(cid & 0xFFFF) | (qid << 16))
 
     def _submit_proc(self, opcode, lba, nblocks, payload, want_data, done,
                      handle: Optional[dict] = None):
+        """Submit one command.  A push invocation (``payload`` of a
+        PUSH_EXEC) rides in one DMA page rather than in the SQE."""
         start = self.sim.now
         span = None
-        if self.obs is not None and self.obs.want_span():
+        if self.obs.want_span():
             span = IOSpan(self._SPAN_OPS.get(opcode, hex(opcode)), origin=self.name)
             span.stamp("submit", start)
         yield self.sim.timeout(self.kernel.submit_overhead_ns + self.extra_submit_ns)
@@ -435,12 +384,21 @@ class NVMeDriver:
         if not slots.try_acquire():
             yield slots.acquire()
 
-        length = nblocks * self.block_bytes if opcode != int(IOOpcode.FLUSH) else 0
+        push = opcode == _PUSH_EXEC
+        if push:
+            length = PAGE_SIZE  # one page carries the invocation + result
+        elif opcode == int(IOOpcode.FLUSH):
+            length = 0
+        else:
+            length = nblocks * self.block_bytes
         buf = 0
         prp1 = prp2 = 0
         if length:
             buf = self._pool.get(length)
-            if payload is not None:
+            if push:
+                self.host.memory.store_obj(buf, payload)
+                payload = None
+            elif payload is not None:
                 self.host.memory.mem_write(buf, length, payload)
             prp1, prp2 = build_prps(self._pool, pages_for(buf, length))
 
@@ -478,15 +436,14 @@ class NVMeDriver:
         ctx["buf"] = buf
         ctx["length"] = length
         ctx["want_data"] = want_data
-        ctx["push"] = False
+        ctx["push"] = push
         ctx["qid"] = qid
         ctx["span"] = span
         ctx["sqe"] = sqe
         ctx["slot"] = (addr - qp.sq.base) // SQE_BYTES
         self._pending[(qid, cid)] = ctx
         self.stats.submitted += 1
-        if self.obs is not None:
-            self._c_submitted[qid].inc()
+        self._c_submitted[qid].inc()
         lock.release()
         self._ring_doorbell(qid, qp)
 
@@ -546,13 +503,11 @@ class NVMeDriver:
     def _note_reclaims(self, count: int) -> None:
         """Ring callback: leaked SQEs were just retired by their ring."""
         self.stats.sqe_reclaims += count
-        if self.obs is not None:
-            self.obs.counter("sqe_reclaims", driver=self.name).inc(count)
+        self.obs.counter("sqe_reclaims", driver=self.name).inc(count)
 
     def _on_interrupt(self, qid: int) -> None:
         self.stats.interrupts += 1
-        if self.obs is not None:
-            self._c_interrupts[qid].inc()
+        self._c_interrupts[qid].inc()
         self.sim.timeout(self.kernel.irq_overhead_ns).callbacks.append(
             self._irq_handlers[qid])
 
@@ -616,7 +571,7 @@ class NVMeDriver:
             else:
                 self._admin_outstanding -= 1
         latency = self.sim.now - ctx["start"]
-        if self.obs is not None and qid != 0:
+        if qid != 0:
             span = ctx.get("span")
             if span is not None:
                 span.stamp("interrupt", self.sim.now)

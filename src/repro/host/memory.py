@@ -43,6 +43,8 @@ class BufferPool:
         self._free: dict[int, list[int]] = {}
         #: spilled (tier-resident) free buckets, only populated when armed
         self._free_tier: dict[int, list[int]] = {}
+        #: every address in either set of buckets (the double-free guard)
+        self._pooled: set[int] = set()
         #: the world's CheckContext (prp checker); None = dormant, zero-cost
         self.checks = memory.sim.checker("prp")
         #: bound CXLBufferTier (spill/borrow); None = dormant, zero-cost
@@ -80,6 +82,7 @@ class BufferPool:
         onchip = True
         if bucket:
             addr = bucket.pop()
+            self._pooled.discard(addr)
         else:
             try:
                 addr = self.memory.alloc(size)
@@ -89,12 +92,16 @@ class BufferPool:
                 tbucket = self._free_tier.get(size)
                 if tbucket:
                     addr = tbucket.pop()
+                    self._pooled.discard(addr)
                 else:
                     addr = self.tier.spill(size)
                 onchip = False
         if self.tier is not None:
-            self.tier.note_get(size, onchip,
-                               idle_spilled=self._free_tier.get(size))
+            idle = self._free_tier.get(size)
+            if self.tier.note_get(size, onchip, idle_spilled=bool(idle)):
+                promoted = idle.pop()
+                self._pooled.discard(promoted)
+                self.tier.retire(promoted, size)
         if self.checks is not None:
             self.checks.on_buffer_alloc(self, addr, size)
         return addr
@@ -117,13 +124,14 @@ class BufferPool:
                 f"{self.memory.name}: foreign address {addr:#x} "
                 "returned to pool"
             )
-        if addr in bucket:
+        if addr in self._pooled:
             # inline guard: same-addr re-free while still pooled would
             # hand one buffer to two owners on the next two gets
             raise SimulationError(
                 f"{self.memory.name}: double free of pooled buffer "
                 f"{addr:#x} ({size} bytes)"
             )
+        self._pooled.add(addr)
         bucket.append(addr)
 
     def drop_addresses(self, dead: set) -> set:
@@ -132,12 +140,11 @@ class BufferPool:
         Returns the subset actually found pooled; the rest are in
         flight and get absorbed by ``put`` later.
         """
-        purged = set()
-        for bucket in self._free_tier.values():
-            hit = [a for a in bucket if a in dead]
-            if hit:
-                purged.update(hit)
-                bucket[:] = [a for a in bucket if a not in dead]
+        purged = self._pooled & dead
+        if purged:
+            self._pooled -= purged
+            for bucket in self._free_tier.values():
+                bucket[:] = [a for a in bucket if a not in purged]
         return purged
 
 

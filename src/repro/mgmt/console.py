@@ -74,7 +74,7 @@ class RemoteConsole:
         return self.request(MIOpcode.READ_IO_STATS, fn=fn)
 
     def io_monitor(self) -> Event:
-        """Fetch the engine's full metrics snapshot out of band."""
+        """Fetch the world's full metrics snapshot out of band."""
         return self.request(MIOpcode.IO_MONITOR_SNAPSHOT)
 
     def create_namespace(

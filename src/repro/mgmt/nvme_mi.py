@@ -25,7 +25,7 @@ class MIOpcode(enum.IntEnum):
     HEALTH_STATUS_POLL = 0x01
     CONTROLLER_LIST = 0x02
     READ_IO_STATS = 0x10  # BM-Store I/O monitor (per-function AXI counters)
-    IO_MONITOR_SNAPSHOT = 0x11  # full metrics-registry dump, when attached
+    IO_MONITOR_SNAPSHOT = 0x11  # full dump of the world's metrics registry
     CREATE_NAMESPACE = 0x20
     DELETE_NAMESPACE = 0x21
     BIND_NAMESPACE = 0x22

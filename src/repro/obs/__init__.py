@@ -14,7 +14,8 @@ measurement substrate for the reproduction:
   completion -> interrupt; a finished span is filed as one frozen row
   of the log's per-stage columns.
 
-Attach a registry to any rig (``build_bmstore(obs=reg)``) or let
+Every simulator starts with its own counters-only registry; attach
+another to any rig (``build_bmstore(obs=reg)``) or let
 :func:`repro.experiments.run_case` create one per run; read it back as
 tables (:meth:`MetricsRegistry.render_table`) or JSON
 (:meth:`MetricsRegistry.snapshot`), in-band via the experiment result

@@ -168,8 +168,7 @@ class PushManager:
         entry = InstalledProgram(key=key, program=validated)
         self.programs[key] = entry
         self.programs_installed += 1
-        if self.obs is not None:
-            self.obs.counter("push_programs_installed").inc()
+        self.obs.counter("push_programs_installed").inc()
         if self.checks is not None:
             self.checks.on_push_install(self, key, validated,
                                         ens.namespace.num_blocks)
@@ -231,8 +230,7 @@ class PushManager:
                                                          span)
         except _SandboxEscape:
             entry.sandbox_faults += 1
-            if self.obs is not None:
-                self.obs.counter("push_sandbox_faults", ns=ens.key).inc()
+            self.obs.counter("push_sandbox_faults", ns=ens.key).inc()
             status = int(StatusCode.PUSH_SANDBOX_FAULT)
 
         if span is not None:
@@ -248,10 +246,9 @@ class PushManager:
         entry.exec_ns += elapsed
         saved = max(0, result.hops - 1)
         entry.hops_saved += saved
-        if self.obs is not None:
-            if saved:
-                self.obs.counter("push_hops_saved").inc(saved)
-            self.obs.counter("push_exec_ns").inc(elapsed)
+        if saved:
+            self.obs.counter("push_hops_saved").inc(saved)
+        self.obs.counter("push_exec_ns").inc(elapsed)
         return status
 
     # ------------------------------------------------------- backend hops

@@ -99,6 +99,8 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
+from ..obs.metrics import MetricsRegistry
+
 __all__ = [
     "Event",
     "Timeout",
@@ -496,8 +498,10 @@ class Simulator:
         self.events_processed = 0
         self.strict = strict
         #: the world's instruments, set once by :meth:`arm`; every part
-        #: built on this simulator caches its own at construction
-        self.obs = None
+        #: built on this simulator caches its own at construction.  A
+        #: world always has a registry: counters-only until armed with
+        #: another one, while checks and faults stay None = dormant.
+        self.obs = MetricsRegistry(mode="counters")
         self.faults = None
         self.check_context = None
         #: the kernel checker's dispatch hook; None = dormant, zero-cost
@@ -508,12 +512,13 @@ class Simulator:
 
     # -- instruments ------------------------------------------------------
     def arm(self, obs=None, checks=None, faults=None) -> None:
-        """Arm the world's instruments: a ``MetricsRegistry``, a
-        ``CheckContext`` and a ``FaultInjector`` (each may be None).
+        """Arm the world's instruments: a ``MetricsRegistry`` (None keeps
+        the world's counters-only one), a ``CheckContext`` and a
+        ``FaultInjector`` (None = dormant).
 
         Parts read them when they are constructed, so a world arms once,
         before it builds anything."""
-        self.obs = obs
+        self.obs = obs or self.obs
         self.faults = faults
         self.check_context = checks
         self.checks = self.checker("kernel")

@@ -22,7 +22,7 @@ class _StubEngine:
     def __init__(self, chip_pages=4, slots=2):
         self.sim = Simulator()
         self.name = "stub"
-        self.obs = None
+        self.obs = self.sim.obs
         self.chip_memory = HostMemory(
             self.sim, chip_pages * PAGE_SIZE, base=0x1000_0000,
             name="stub.chipmem",
@@ -95,6 +95,43 @@ def test_hot_set_prefers_oncard_and_promote_hands_back():
     assert tier.promotes == 2              # both spilled buffers retired
     assert tier.borrowed_bytes == 0        # the grant went back to slot 0
     assert not pool._free_tier.get(PAGE_SIZE)
+
+
+def test_double_free_of_a_spilled_buffer_raises():
+    engine, tier, pool = small_tier(chip_pages=1, window_pages=2)
+    pool.get(PAGE_SIZE)                    # fills the chip
+    spilled = pool.get(PAGE_SIZE)
+    assert tier.window.contains(spilled)
+    pool.put(spilled, PAGE_SIZE)
+    with pytest.raises(SimulationError, match="double free"):
+        pool.put(spilled, PAGE_SIZE)
+
+
+def test_put_after_drop_addresses_purged_is_no_double_free():
+    engine, tier, pool = small_tier(chip_pages=1, window_pages=2)
+    pool.get(PAGE_SIZE)
+    spilled = pool.get(PAGE_SIZE)
+    pool.put(spilled, PAGE_SIZE)
+    assert pool.drop_addresses({spilled}) == {spilled}
+    assert pool.drop_addresses({spilled}) == set()
+    pool.put(spilled, PAGE_SIZE)           # no longer pooled: a legal put
+    assert pool._free_tier[PAGE_SIZE] == [spilled]
+
+
+def test_promoted_buffer_can_be_spilled_and_freed_again():
+    """A promote takes its buffer out of the pool: when the window hands
+    the same address out again, returning it is no double free."""
+    engine, tier, pool = small_tier(chip_pages=1, window_pages=1,
+                                    promote_after=1)
+    chip = pool.get(PAGE_SIZE)
+    spilled = pool.get(PAGE_SIZE)
+    pool.put(spilled, PAGE_SIZE)
+    pool.put(chip, PAGE_SIZE)
+    assert pool.get(PAGE_SIZE) == chip     # on-card serve promotes `spilled`
+    assert tier.promotes == 1
+    assert pool.get(PAGE_SIZE) == spilled  # recycled from the window
+    pool.put(spilled, PAGE_SIZE)
+    pool.put(chip, PAGE_SIZE)
 
 
 def test_spill_determinism_two_runs_identical():
