@@ -10,6 +10,7 @@ __all__ = [
     "TOMBSTONE",
     "decode_records",
     "encode_record",
+    "find_record",
     "record_size",
     "MemTable",
     "KVRecoveryReport",
@@ -23,7 +24,8 @@ __getattr__, __dir__ = lazy_exports(__name__, __all__, {
     "bloom": ("BloomFilter",),
     "db": ("MiniKV", "MiniKVConfig", "MiniKVStats"),
     "encoding": (
-        "TOMBSTONE", "decode_records", "encode_record", "record_size",
+        "TOMBSTONE", "decode_records", "encode_record", "find_record",
+        "record_size",
     ),
     "memtable": ("MemTable",),
     "recovery": ("KVRecoveryReport", "crash_and_recover_kv"),

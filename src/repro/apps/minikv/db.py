@@ -21,6 +21,7 @@ from ...host.block import BlockTarget
 from ...sim import Event, SimulationError, Simulator
 from ...sim.units import MIB
 from ..blockfs import ExtentAllocator
+from .bloom import BloomFilter
 from .encoding import TOMBSTONE, decode_records
 from .memtable import MemTable
 from .sstable import SSTable, SSTableWriter
@@ -204,16 +205,16 @@ class MiniKV:
         self._flush_lock = self.sim.event(name=f"{self.name}.flush")
         full, self.memtable = self.memtable, MemTable(self.config.memtable_bytes)
         writer = self._writer(level=0, expected=len(full))
+        newest = 0
         for key, value, seq in full.sorted_items():
             writer.add(key, value, seq)
+            if seq > newest:
+                newest = seq
         table = yield from writer.finish()
         if table is not None:
             self.levels[0].append(table)
             self.stats.flushes += 1
-            self.flushed_through_seq = max(
-                self.flushed_through_seq,
-                max(seq for _, _, seq in full.sorted_items()),
-            )
+            self.flushed_through_seq = max(self.flushed_through_seq, newest)
         lock, self._flush_lock = self._flush_lock, None
         lock.succeed()
         if len(self.levels[0]) >= self.config.l0_compaction_trigger and not self._compacting:
@@ -306,21 +307,23 @@ class MiniKV:
         self._push_armed = bool(getattr(info, "ok", False))
         return info
 
-    def _candidate_tables(self, key: bytes) -> list[SSTable]:
-        """Tables a mediated lookup would probe, in probe order."""
+    def _candidate_tables(self, key: bytes) -> list[tuple[SSTable, int]]:
+        """(table, data block) pairs a mediated lookup would probe, in
+        probe order."""
         tables = list(reversed(self.levels[0]))
         for level in self.levels[1:]:
             table = self._level_candidate(level, key)
             if table is not None:
                 tables.append(table)
+        hashes = BloomFilter.key_hashes(key)
         out = []
         for table in tables:
-            if not table.bloom.might_contain(key):
+            if not table.bloom.might_contain(key, hashes):
                 self.stats.bloom_skips += 1
                 continue
-            if table.block_for(key) is None:
-                continue
-            out.append(table)
+            block_idx = table.block_for(key)
+            if block_idx is not None:
+                out.append((table, block_idx))
         return out
 
     def _get_pushdown(self, key: bytes):
@@ -331,11 +334,12 @@ class MiniKV:
         fall back to mediated probes.
         """
         carry = self.config.carry_data
-        tables = self._candidate_tables(key)
-        if not tables:
+        probes = self._candidate_tables(key)
+        if not probes:
             return True, None
         candidates = []
-        for table in tables:
+        hits = []  # shadow mode: each candidate's hit, from its one block walk
+        for table, ptr in probes:
             cand = {
                 "index_lba": table.extent.lba + table.index_block_for(key),
                 "data_base": table.extent.lba + table.data_block_offset,
@@ -344,10 +348,10 @@ class MiniKV:
                 # shadow mode: precompute the pointer chase outcome so
                 # the engine issues the identical command sequence
                 # without any bytes flowing
-                ptr = table.block_for(key)
+                hit = table.get_from_block(table.shadow_blocks[ptr], key)
                 cand["shadow_ptr"] = ptr
-                cand["hit"] = table.get_from_block(
-                    table.shadow_blocks[ptr], key) is not None
+                cand["hit"] = hit is not None
+                hits.append(hit)
             candidates.append(cand)
         info = yield self.device.push_exec(
             {"carry": carry, "key": key, "candidates": candidates})
@@ -358,9 +362,11 @@ class MiniKV:
         self.stats.pushdown_gets += 1
         if not result.found:
             return True, None
-        table = tables[result.candidate]
-        blob = result.block if carry else table.shadow_blocks[result.block_idx]
-        hit = table.get_from_block(blob or b"", key)
+        if carry:
+            table = probes[result.candidate][0]
+            hit = table.get_from_block(result.block or b"", key)
+        else:
+            hit = hits[result.candidate]
         return True, hit[0] if hit else None
 
     # ---------------------------------------------------------------- reads

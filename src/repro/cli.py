@@ -199,10 +199,11 @@ def _cmd_fio(args) -> int:
         return err
     faults = None
     if args.faults:
+        from .experiments.fig8_table5 import case_latency_ns
         from .faults import get_preset
 
         try:
-            faults = get_preset(args.faults)
+            faults = get_preset(args.faults, case_latency_ns(spec.name))
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2

@@ -15,9 +15,10 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..runner import RunSpec, run_specs
+from ..sim.units import us
 from .common import ExperimentResult, quick_cases
 
-__all__ = ["run", "PAPER_LATENCY_US"]
+__all__ = ["run", "PAPER_LATENCY_US", "case_latency_ns"]
 
 #: Table V reference values (us)
 PAPER_LATENCY_US = {
@@ -28,6 +29,14 @@ PAPER_LATENCY_US = {
     "seq-r-256": (40579.3, 40041.3),
     "seq-w-256": (92502.3, 95030.0),
 }
+
+
+def case_latency_ns(case: str) -> Optional[int]:
+    """The larger of ``case``'s two Table V latencies, in ns (None for a
+    case the table does not list): the expected latency fault presets
+    scale their driver timeouts to."""
+    anchors = PAPER_LATENCY_US.get(case)
+    return None if anchors is None else us(max(anchors))
 
 
 def run(cases: Optional[Sequence[str]] = None, seed: int = 7,

@@ -6,9 +6,24 @@ whose single-SSD backend drive and PCIe port are both named
 ``bssd0``.  Every preset that can leave a command without a CQE also
 carries a driver policy, otherwise closed-loop workers would wait
 forever.
+
+Driver timeouts keep their meaning on every case: a preset's fixed
+2-10 ms timeout is its floor, and ``get_preset(name, case_latency_ns)``
+raises it to ``max(fixed, 2 x case latency)``.  The case latency is
+the larger of the case's two Table V anchors
+(``experiments.fig8_table5.PAPER_LATENCY_US``), so only a command held
+up far past its case's normal queueing times out.  Without this,
+seq-*-256's ~94 ms queueing latency would time out every command and
+turn a 4-command drop into thousands of aborts.  Every ``rand-*``
+anchor is under 1 ms, so those cases keep the fixed timeouts; ``repro
+fio`` and the grid runner pass the latency in, and the fleet, whose
+tenants mix cases, keeps the fixed values.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
+from typing import Optional
 
 from ..sim.units import MS
 from .plan import FaultPlan
@@ -96,13 +111,20 @@ PRESET_DESCRIPTIONS = {
 }
 
 
-def get_preset(name: str) -> FaultPlan:
+def get_preset(name: str, case_latency_ns: Optional[int] = None) -> FaultPlan:
+    """A fresh copy of preset ``name``; with ``case_latency_ns``, its
+    driver timeout is at least twice that latency (see the module doc)."""
     try:
-        return PRESETS[name]()
+        plan = PRESETS[name]()
     except KeyError:
         raise ValueError(
             f"unknown fault preset {name!r}; one of {sorted(PRESETS)}"
         ) from None
+    policy = plan.driver_policy
+    if policy is not None and case_latency_ns is not None:
+        plan.driver_policy = replace(
+            policy, timeout_ns=max(policy.timeout_ns, 2 * case_latency_ns))
+    return plan
 
 
 def list_presets() -> list[tuple[str, str]]:

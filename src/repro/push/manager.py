@@ -23,15 +23,16 @@ Data semantics follow the repo's two-mode byte model: ``carry``
 invocations parse real block bytes DMA'd into engine chip memory
 (early-exiting a chase at the first block containing the key); shadow
 invocations carry host-precomputed pointers/hit flags so the backend
-command sequence is identical while no bytes flow.
+command sequence is identical while no bytes flow.  Blocks use MiniKV's
+record framing (``apps/minikv/encoding``), read with its decoders.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from ..apps.minikv.encoding import decode_records, find_record
 from ..mgmt.nvme_mi import MIOpcode, MIStatus
 from ..nvme.spec import LBA_BYTES, AdminOpcode, IOOpcode, StatusCode
 from ..sim import SimulationError
@@ -42,28 +43,6 @@ __all__ = ["PushManager", "PushResult", "InstalledProgram"]
 
 #: modeled size of the result record DMA'd back into the invocation page
 RESULT_BYTES = 512
-
-#: on-disk record framing shared with the apps: key_len, value_len, seq
-_RECORD_HEADER = struct.Struct("<IIQ")
-
-
-def _decode_records(raw: bytes):
-    """(key, value, seq) triples from one block; stops at padding."""
-    out = []
-    offset = 0
-    while offset + _RECORD_HEADER.size <= len(raw):
-        key_len, value_len, seq = _RECORD_HEADER.unpack_from(raw, offset)
-        if key_len == 0:
-            break
-        offset += _RECORD_HEADER.size
-        if offset + key_len + value_len > len(raw):
-            break
-        key = raw[offset : offset + key_len]
-        value = raw[offset + key_len : offset + key_len + value_len]
-        out.append((key, value, seq))
-        offset += key_len + value_len
-    return out
-
 
 @dataclass
 class PushResult:
@@ -326,8 +305,7 @@ class PushManager:
                 return status
             if carry:
                 yield sim.timeout(self.costs.scan_ns)
-                hit = any(rk == key for rk, _v, _s in
-                          _decode_records(raw or b""))
+                hit = key is not None and find_record(raw or b"", key) is not None
                 if hit:
                     result.block = raw
             else:
@@ -343,7 +321,7 @@ class PushManager:
     def _index_lookup(raw: bytes, key) -> Optional[int]:
         """Last index record with first_key <= key -> data block number."""
         best = None
-        for rec_key, value, _seq in _decode_records(raw):
+        for rec_key, value, _seq in decode_records(raw):
             if key is not None and rec_key > key:
                 break
             best = int.from_bytes(value[:8], "little")
@@ -367,7 +345,7 @@ class PushManager:
             lo, hi = inv.get("lo"), inv.get("hi")
             matches = [
                 (rk, value, seq)
-                for rk, value, seq in _decode_records(raw or b"")
+                for rk, value, seq in decode_records(raw or b"")
                 if (lo is None or rk >= lo) and (hi is None or rk <= hi)
             ]
             result.count = len(matches)
@@ -386,8 +364,8 @@ class PushManager:
         if status != int(StatusCode.SUCCESS):
             return status
         if carry:
-            records = _decode_records(raw or b"")
-            stored = records[0][2] if records else None
+            first = next(decode_records(raw or b""), None)
+            stored = first[2] if first else None
         else:
             stored = inv.get("current_seq")
         result.stored_seq = stored

@@ -89,9 +89,10 @@ def run_one(spec: RunSpec) -> dict[str, Any]:
     (fio_spec,) = quick_cases([spec.case])
     kwargs = dict(spec.scheme_kwargs)
     if spec.faults:
+        from .experiments.fig8_table5 import case_latency_ns
         from .faults import get_preset
 
-        kwargs["faults"] = get_preset(spec.faults)
+        kwargs["faults"] = get_preset(spec.faults, case_latency_ns(spec.case))
     # the hot path recycles its per-I/O objects through free lists, so
     # cyclic garbage barely accumulates during a run; pausing the
     # collector avoids full-heap scans mid-simulation (results are

@@ -96,6 +96,10 @@ class YCSBRun:
         self._live = 0
         self._window_start = 0
         self._window_end = 0
+        self._op_mix = (
+            ("read", spec.read), ("update", spec.update), ("insert", spec.insert),
+            ("scan", spec.scan), ("rmw", spec.rmw),
+        )
 
     # ------------------------------------------------------------------ load
     def load(self):
@@ -121,11 +125,7 @@ class YCSBRun:
 
     def _pick_op(self, rng: RandomStream) -> str:
         x = rng.random()
-        spec = self.spec
-        for op, p in (
-            ("read", spec.read), ("update", spec.update), ("insert", spec.insert),
-            ("scan", spec.scan), ("rmw", spec.rmw),
-        ):
+        for op, p in self._op_mix:
             if x < p:
                 return op
             x -= p

@@ -1,6 +1,8 @@
 """Unit tests for MiniKV components: encoding, bloom, memtable, WAL,
 SSTables, extent allocator."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from repro.apps.minikv import (
     WriteAheadLog,
     decode_records,
     encode_record,
+    find_record,
     record_size,
 )
 from repro.baselines import build_native
@@ -52,7 +55,88 @@ def test_record_stream_roundtrip(records):
     assert list(decode_records(blob)) == records
 
 
+def _newest_by_scan(blob, key):
+    """Reference point lookup: the first highest-seq record of ``key``."""
+    best = None
+    for k, v, seq in decode_records(blob):
+        if k == key and (best is None or seq > best[1]):
+            best = (v, seq)
+    return best
+
+
+#: short keys, some prefixes of others, so duplicates and near-misses abound
+_KEYS = st.sampled_from([b"a", b"ab", b"abc", b"b", b"user1", b"user12"])
+
+
+@st.composite
+def _blocks(draw):
+    """(blob, target): records with duplicate keys and differing seqs,
+    the target's bytes embedded in other records' values, then a clean
+    end, zero padding with a record past it, or a torn record."""
+    target = draw(_KEYS)
+    parts = []
+    for key, value, seq in draw(st.lists(
+            st.tuples(_KEYS, st.binary(max_size=12), st.integers(0, 4)),
+            max_size=12)):
+        embed = draw(st.sampled_from(
+            [b"", target, encode_record(target, b"fake", 9)]))
+        parts.append(encode_record(key, value + embed, seq))
+    tail = draw(st.sampled_from(["end", "padding", "torn"]))
+    if tail == "padding":
+        parts.append(bytes(draw(st.integers(16, 48))))
+        parts.append(encode_record(target, b"past padding", 9))
+    elif tail == "torn":
+        rec = encode_record(target, b"torn", 9)
+        cut = draw(st.one_of(st.just(len(rec) - 1), st.integers(1, len(rec) - 1)))
+        parts.append(rec[:cut])
+    return b"".join(parts), target
+
+
+@given(_blocks())
+@settings(max_examples=300, deadline=None)
+def test_find_record_equals_a_max_seq_scan(block):
+    blob, target = block
+    assert find_record(blob, target) == _newest_by_scan(blob, target)
+
+
+def test_find_record_first_of_equal_seqs_wins():
+    blob = (encode_record(b"k", b"old", 1) + encode_record(b"k", b"first", 5)
+            + encode_record(b"k", b"second", 5) + encode_record(b"kk", b"x", 9))
+    assert find_record(blob, b"k") == (b"first", 5)
+    assert find_record(blob, b"kk") == (b"x", 9)
+    assert find_record(blob, b"z") is None
+    # a record one byte short of its frame is a torn tail, not a hit
+    assert find_record(blob + encode_record(b"k", b"torn", 9)[:-1], b"k") == (b"first", 5)
+
+
 # -------------------------------------------------------------------- bloom
+def _positions_per_formula(bloom, key):
+    """The filter's bit positions, spelled as ``(h1 + i * h2) % bits``."""
+    digest = hashlib.blake2b(key, digest_size=16).digest()
+    h1 = int.from_bytes(digest[:8], "little")
+    h2 = int.from_bytes(digest[8:], "little") | 1
+    return [(h1 + i * h2) % bloom.num_bits for i in range(bloom.num_hashes)]
+
+
+@given(st.lists(st.binary(min_size=1, max_size=12), max_size=40),
+       st.binary(min_size=1, max_size=12), st.integers(1, 300))
+@settings(max_examples=100, deadline=None)
+def test_bloom_precomputed_hashes_agree_with_per_position_formula(
+        added, probe, expected):
+    bloom = BloomFilter(expected_items=expected)
+    for key in added:
+        bloom.add(key)
+    bits = bytearray(len(bloom._bits))
+    for key in added:
+        for pos in _positions_per_formula(bloom, key):
+            bits[pos >> 3] |= 1 << (pos & 7)
+    assert bloom._bits == bits
+    present = all(bits[pos >> 3] & (1 << (pos & 7))
+                  for pos in _positions_per_formula(bloom, probe))
+    assert bloom.might_contain(probe, BloomFilter.key_hashes(probe)) is present
+    assert bloom.might_contain(probe) is present
+
+
 def test_bloom_no_false_negatives():
     bloom = BloomFilter(expected_items=500)
     keys = [f"key{i}".encode() for i in range(500)]

@@ -1,7 +1,10 @@
 """FaultPlan / FaultSpec / DriverFaultPolicy: pure-data layer."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.experiments.fig8_table5 import case_latency_ns
 from repro.faults import (
     FAULT_KINDS,
     DriverFaultPolicy,
@@ -69,6 +72,20 @@ def test_presets_build_fresh_plans():
         assert isinstance(plan, FaultPlan)
         assert len(plan) >= 1
     assert get_preset("cmd-drop") is not get_preset("cmd-drop")
+
+
+def test_preset_timeouts_scale_only_past_their_fixed_floor():
+    rand = case_latency_ns("rand-r-128")
+    seq = case_latency_ns("seq-w-256")
+    for name in PRESETS:
+        fixed = get_preset(name).driver_policy
+        if fixed is None:
+            assert get_preset(name, seq).driver_policy is None
+            continue
+        assert get_preset(name, rand).driver_policy == fixed
+        scaled = get_preset(name, seq).driver_policy
+        assert scaled.timeout_ns >= ms(190)
+        assert scaled == replace(fixed, timeout_ns=scaled.timeout_ns)
 
 
 def test_unknown_preset_rejected():

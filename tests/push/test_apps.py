@@ -81,6 +81,37 @@ def test_minikv_falls_back_when_program_vanishes():
     assert kv.stats.pushdown_fallbacks > 0  # vendor path refused, reads OK
 
 
+def test_shadow_pushdown_get_walks_each_candidate_block_once(monkeypatch):
+    from repro.apps.minikv.sstable import SSTable
+
+    rig, driver, kv = make_kv(pushdown=True, carry=False)
+    walks = []
+    walk = SSTable.get_from_block
+
+    def counted(table, blob, key):
+        walks.append((table.table_id, blob))
+        return walk(table, blob, key)
+
+    def flow():
+        for i in range(240):
+            yield from kv.put(b"k%04d" % i, b"v%03d" % i * 8)
+        info = yield from kv.install_pushdown()
+        assert info.ok
+        monkeypatch.setattr(SSTable, "get_from_block", counted)
+        per_get = []
+        for i in range(0, 120, 7):
+            walks.clear()
+            value = yield from kv.get(b"k%04d" % i)
+            assert value == b"v%03d" % i * 8
+            per_get.append(list(walks))
+        return per_get
+
+    per_get = drive(rig, flow())
+    assert kv.stats.pushdown_gets == len(per_get)
+    for blocks in per_get:
+        assert blocks and len(set(blocks)) == len(blocks), blocks
+
+
 def test_minisql_pushdown_point_selects():
     rig = build_bmstore(num_ssds=2, seed=17)
     fn = rig.provision("sql", 64 * MIB)
