@@ -22,7 +22,7 @@ from ...sim import Event, SimulationError, Simulator
 from ...sim.units import MIB
 from ..blockfs import ExtentAllocator
 from .bloom import BloomFilter
-from .encoding import TOMBSTONE, decode_records
+from .encoding import TOMBSTONE, decode_records, lookup_index_block
 from .memtable import MemTable
 from .sstable import SSTable, SSTableWriter
 from .wal import WriteAheadLog
@@ -396,8 +396,6 @@ class MiniKV:
         return hit[0] if hit else None
 
     def _read_index(self, table: SSTable, key: bytes, block_idx: int):
-        from .sstable import lookup_index_block
-
         self.stats.index_reads += 1
         info = yield self.device.read(
             table.extent.lba + table.index_block_for(key), 1,

@@ -13,6 +13,7 @@ __all__ = [
     "encode_record",
     "decode_records",
     "find_record",
+    "lookup_index_block",
     "record_size",
     "TOMBSTONE",
 ]
@@ -84,4 +85,20 @@ def find_record(blob: bytes, key: bytes) -> Optional[tuple[bytes, int]]:
             best = (blob[offset + key_len : stop], sequence)
             best_seq = sequence
         offset = stop
+    return best
+
+
+def lookup_index_block(blob: bytes, key: Optional[bytes]) -> Optional[int]:
+    """Data-block number from one on-disk index block.
+
+    Index records reuse the data framing with an 8-byte little-endian
+    block number as the value; the answer is the last entry whose first
+    key is <= ``key`` (the same rule :meth:`SSTable.block_for` applies
+    to the in-memory index), or the last entry when ``key`` is None.
+    """
+    best: Optional[int] = None
+    for first_key, value, _seq in decode_records(blob):
+        if key is not None and first_key > key:
+            break
+        best = int.from_bytes(value[:8], "little")
     return best

@@ -26,25 +26,9 @@ from ...sim import SimulationError, Simulator
 from ...sim.units import PAGE_SIZE
 from ..blockfs import Extent, ExtentAllocator
 from .bloom import BloomFilter
-from .encoding import decode_records, encode_record, find_record
+from .encoding import encode_record, find_record
 
-__all__ = ["SSTable", "SSTableWriter", "lookup_index_block"]
-
-
-def lookup_index_block(blob: bytes, key: bytes) -> Optional[int]:
-    """Data-block number from one on-disk index block.
-
-    Index records reuse the data framing with an 8-byte little-endian
-    block number as the value; the answer is the last entry whose first
-    key is <= ``key`` (the same rule :meth:`SSTable.block_for` applies
-    to the in-memory index).
-    """
-    best: Optional[int] = None
-    for first_key, value, _seq in decode_records(blob):
-        if first_key > key:
-            break
-        best = int.from_bytes(value[:8], "little")
-    return best
+__all__ = ["SSTable", "SSTableWriter"]
 
 
 @dataclass

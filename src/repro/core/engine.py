@@ -476,7 +476,7 @@ class BMSEngine:
         fn_id = fn.fn_id
         self.forward_io(sqe.opcode, extents,
                         encode_global_prps(fn_id, host_pages),
-                        sqe.payload, span, self._front_done(fn, qid, sqe))
+                        sqe.payload, span, _FrontDone(self, fn, qid, sqe))
         if span is not None:
             span.stamp("forward", self.sim.now)
 
@@ -489,7 +489,7 @@ class BMSEngine:
         ssd_ids = sorted({ssd_id for ssd_id, _ in ens.chunks})
         self.forward_io(int(IOOpcode.FLUSH), [(ssd_id, 0, 1) for ssd_id in ssd_ids],
                         [0] * len(ssd_ids), None, None,
-                        self._front_done(fn, qid, sqe))
+                        _FrontDone(self, fn, qid, sqe))
 
     def pipeline_stage(self) -> Event:
         """Step ②'s entry: the pipeline's single issue slot, FIFO, for
@@ -501,18 +501,6 @@ class BMSEngine:
         timings = self.timings
         self._issue_free_at = start + timings.issue_ns
         return self.sim.timeout(start + timings.issue_ns + timings.pipeline_ns - now)
-
-    def _front_done(self, fn: FrontEndFunction, qid: int, sqe: SQE):
-        """Step ⑦ for a forwarded front command: the fanned-in status."""
-        def on_done(status: int) -> None:
-            if status != int(StatusCode.SUCCESS):
-                self._fn_stats[fn.fn_id].errors += 1
-            span = sqe.span
-            if span is not None:
-                span.stamp("backend_done", self.sim.now)
-            self.post_front_cqe(fn, qid, sqe.cid, status, 0, span=span)
-
-        return on_done
 
     def map_io(self, ens: EngineNamespace, opcode: int, slba: int,
                nblocks: int, span: Optional[IOSpan]):
@@ -552,22 +540,12 @@ class BMSEngine:
         SUCCESS, or with a failed extent's status.
         """
         pool = self._prp_pool
-        chains: list[tuple[int, int, int]] = []
-        fanin = [len(extents), int(StatusCode.SUCCESS)]
-
-        def on_complete(status: int) -> None:
-            if status != int(StatusCode.SUCCESS):
-                fanin[1] = status
-            fanin[0] -= 1
-            if fanin[0] == 0:
-                for prp1, prp2, length in chains:
-                    release_prps(pool, prp1, prp2, length)
-                on_done(fanin[1])
-
+        fanin = _FanIn(pool, len(extents), on_done)
+        chains = fanin.chains
         block_off = 0
         for ssd_id, plba, cnt in extents:
             prp1, prp2 = build_prps(pool, pages[block_off : block_off + cnt])
-            chains.append((prp1, prp2, cnt * LBA_BYTES))
+            chains += (prp1, prp2, cnt * LBA_BYTES)
             frag_payload = None
             if payload is not None:
                 frag_payload = payload[block_off * LBA_BYTES :][: cnt * LBA_BYTES]
@@ -577,7 +555,7 @@ class BMSEngine:
                 submit_time_ns=self.sim.now,
             )
             fwd.span = span  # the back-end SSD stamps ssd_dma on it
-            self.adaptor.slot_for(ssd_id).forward(fwd, on_complete)
+            self.adaptor.slot_for(ssd_id).forward(fwd, fanin)
             block_off += cnt
 
     # ----------------------------------------------------- DMA request routing
@@ -781,3 +759,52 @@ class BMSEngine:
             after(ssd_id, removed)
         self.obs.counter("engine_surprise_removes", slot=str(ssd_id)).inc()
         return removed
+
+
+class _FanIn:
+    """Step ③'s fan-in: counts a forwarded command's back-end fragments
+    down, frees their PRP chains once the last one completes, then calls
+    ``on_done`` with SUCCESS or a failed fragment's status."""
+
+    __slots__ = ("pool", "remaining", "status", "on_done", "chains")
+
+    def __init__(self, pool: BufferPool, fragments: int, on_done):
+        self.pool = pool
+        self.remaining = fragments
+        self.status = int(StatusCode.SUCCESS)
+        self.on_done = on_done
+        #: (prp1, prp2, length) of each fragment, flattened
+        self.chains: list[int] = []
+
+    def __call__(self, status: int) -> None:
+        if status != int(StatusCode.SUCCESS):
+            self.status = status
+        self.remaining -= 1
+        if self.remaining == 0:
+            chains = self.chains
+            for i in range(0, len(chains), 3):
+                release_prps(self.pool, chains[i], chains[i + 1], chains[i + 2])
+            self.on_done(self.status)
+
+
+class _FrontDone:
+    """Step ⑦ for a forwarded front command, called with the fanned-in
+    status: count an error, stamp ``backend_done``, relay the CQE."""
+
+    __slots__ = ("engine", "fn", "qid", "sqe")
+
+    def __init__(self, engine: BMSEngine, fn: FrontEndFunction, qid: int, sqe: SQE):
+        self.engine = engine
+        self.fn = fn
+        self.qid = qid
+        self.sqe = sqe
+
+    def __call__(self, status: int) -> None:
+        engine = self.engine
+        fn = self.fn
+        if status != int(StatusCode.SUCCESS):
+            engine._fn_stats[fn.fn_id].errors += 1
+        span = self.sqe.span
+        if span is not None:
+            span.stamp("backend_done", engine.sim.now)
+        engine.post_front_cqe(fn, self.qid, self.sqe.cid, status, 0, span=span)

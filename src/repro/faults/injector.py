@@ -9,8 +9,8 @@ attribute test, no allocation, no events) in an unarmed world:
 ========================  ==========================================
 hook point                faults delivered
 ========================  ==========================================
-``ssd.media``             media_error, die_stall   (``NVMeSSD._io``)
-``ssd.fetch``             cmd_drop                 (``NVMeSSD._execute``)
+``ssd.media``             media_error, die_stall   (``DriveCommand._walk_prps``)
+``ssd.fetch``             cmd_drop                 (``DriveCommand._decoded``)
 ``ssd.firmware``          firmware_stall           (``NVMeSSD._activate_firmware``)
 ``engine.dispatch``       engine_stall             (``TargetController.dispatch``)
 ``engine.backend``        hot_remove               (``BMSEngine.surprise_remove``)

@@ -74,6 +74,28 @@ class DriverStats:
         self.doorbell_elided = 0
 
 
+class _Pending:
+    """One submitted command awaiting its CQE: what completing it needs."""
+
+    __slots__ = ("done", "start", "buf", "length", "want_data", "push",
+                 "span", "sqe", "slot")
+
+    def __init__(self, done: Event, start: int, buf: int, length: int,
+                 want_data: bool, push: bool, span: Optional[IOSpan],
+                 sqe: Optional[SQE], slot: Optional[int]):
+        self.done = done
+        self.start = start
+        self.buf = buf
+        self.length = length
+        self.want_data = want_data
+        self.push = push
+        self.span = span
+        #: the ring entry (None for admin commands, which are never
+        #: reclaimed) and its slot index in the SQ
+        self.sqe = sqe
+        self.slot = slot
+
+
 class NVMeDriver:
     """One bound NVMe controller, exposing the BlockTarget interface."""
 
@@ -135,10 +157,7 @@ class NVMeDriver:
         self.fault_policy = fault_policy
         self._pool = BufferPool(host.memory)
         self._lock = Resource(self.sim, 1, name=f"{name}.sqlock")
-        self._pending: dict[tuple[int, int], dict[str, Any]] = {}
-        #: recycled per-I/O context dicts; every key is overwritten on
-        #: reuse, so entries may be returned without clearing
-        self._ctx_pool: list[dict[str, Any]] = []
+        self._pending: dict[tuple[int, int], _Pending] = {}
         self._next_cid: dict[int, int] = {}
         self._qps: dict[int, QueuePair] = {}
         self._slots: dict[int, Resource] = {}
@@ -350,11 +369,11 @@ class NVMeDriver:
             return
         ctx = self._pending.pop((qid, cid), None)
         if ctx is not None:
-            if ctx["buf"]:
-                self._pool.put(ctx["buf"], ctx["length"])
+            if ctx.buf:
+                self._pool.put(ctx.buf, ctx.length)
             if qid in self._slots:
                 self._slots[qid].release()
-            span = ctx.get("span")
+            span = ctx.span
             if span is not None:
                 span.note_fault("host_timeout")
                 self.obs.finish_span(span)
@@ -362,9 +381,8 @@ class NVMeDriver:
             # be fetched — but the ring tracks it and retires it once
             # the slot is overwritten or the queue is re-attached.  Its
             # PRP list stays allocated for the same reason.
-            sqe = ctx.get("sqe")
-            if sqe is not None and ctx.get("slot") is not None:
-                self._qps[qid].sq.note_leaked(ctx["slot"], sqe)
+            if ctx.sqe is not None:
+                self._qps[qid].sq.note_leaked(ctx.slot, ctx.sqe)
         self.stats.aborts += 1
         self.obs.counter("driver_aborts", driver=self.name).inc()
         yield self.admin(AdminOpcode.ABORT, cdw10=(cid & 0xFFFF) | (qid << 16))
@@ -429,19 +447,9 @@ class NVMeDriver:
         if span is not None:
             sqe.span = span
         addr = qp.sq.push(sqe)
-        pool = self._ctx_pool
-        ctx = pool.pop() if pool else {}
-        ctx["done"] = done
-        ctx["start"] = start
-        ctx["buf"] = buf
-        ctx["length"] = length
-        ctx["want_data"] = want_data
-        ctx["push"] = push
-        ctx["qid"] = qid
-        ctx["span"] = span
-        ctx["sqe"] = sqe
-        ctx["slot"] = (addr - qp.sq.base) // SQE_BYTES
-        self._pending[(qid, cid)] = ctx
+        self._pending[(qid, cid)] = _Pending(
+            done, start, buf, length, want_data, push, span, sqe,
+            (addr - qp.sq.base) // SQE_BYTES)
         self.stats.submitted += 1
         self._c_submitted[qid].inc()
         lock.release()
@@ -549,19 +557,19 @@ class NVMeDriver:
         if not ok:
             self.stats.errors += 1
         data = None
-        if ctx.get("push"):
+        if ctx.push:
             # the engine parked a PushResult over the invocation object;
             # always pop it so the recycled buffer never shadows later
             # byte reads at the same address
-            obj = self.host.memory.pop_obj(ctx["buf"])
+            obj = self.host.memory.pop_obj(ctx.buf)
             if ok:
                 data = obj
-        elif ctx["want_data"] and ctx["length"]:
-            data = self.host.memory.mem_read(ctx["buf"], ctx["length"])
-        sqe = ctx["sqe"]
-        if ctx["buf"]:
-            self._pool.put(ctx["buf"], ctx["length"])
-            release_prps(self._pool, sqe.prp1, sqe.prp2, ctx["length"])
+        elif ctx.want_data and ctx.length:
+            data = self.host.memory.mem_read(ctx.buf, ctx.length)
+        sqe = ctx.sqe
+        if ctx.buf:
+            self._pool.put(ctx.buf, ctx.length)
+            release_prps(self._pool, sqe.prp1, sqe.prp2, ctx.length)
         if qid in self._slots:
             self._slots[qid].release()
         elif qid == 0:
@@ -570,9 +578,9 @@ class NVMeDriver:
                 self._admin_waiters.pop(0).succeed()
             else:
                 self._admin_outstanding -= 1
-        latency = self.sim.now - ctx["start"]
+        latency = self.sim.now - ctx.start
         if qid != 0:
-            span = ctx.get("span")
+            span = ctx.span
             if span is not None:
                 span.stamp("interrupt", self.sim.now)
                 self.obs.finish_span(span)
@@ -585,10 +593,7 @@ class NVMeDriver:
         # rejoin the free list.  Timed-out commands never get here.
         if sqe is not None:
             free_sqe(sqe)
-        done = ctx["done"]
-        if len(self._ctx_pool) < 256:
-            self._ctx_pool.append(ctx)
-        done.succeed(CompletionInfo(ok, status, data, latency))
+        ctx.done.succeed(CompletionInfo(ok, status, data, latency))
 
     # ----------------------------------------------------------------- admin
     def admin(
@@ -624,10 +629,7 @@ class NVMeDriver:
                   cdw10=cdw10, cdw11=cdw11, prp1=prp1, payload=payload,
                   submit_time_ns=start)
         qp.sq.push(sqe)
-        self._pending[(0, cid)] = {
-            "done": done, "start": start, "buf": 0,
-            "length": 0, "want_data": False, "push": False, "qid": 0,
-            "span": None, "sqe": None,
-        }
+        self._pending[(0, cid)] = _Pending(done, start, 0, 0, False, False,
+                                           None, None, None)
         self.stats.submitted += 1
         self.host.fabric.cpu_write(qp.sq_doorbell, 4)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..sim import BandwidthLink, RandomStream, Resource, Simulator
+from ..sim import BandwidthLink, RandomStream, Resource, Simulator, failure
 from ..sim.units import us
 
 __all__ = ["FlashProfile", "FlashBackend", "P4510_PROFILE"]
@@ -95,22 +95,20 @@ class FlashBackend:
         self._read_bus = BandwidthLink(sim, profile.read_bus_bytes_per_sec, name=f"{name}.rbus")
         self._write_bus = BandwidthLink(sim, profile.write_bus_bytes_per_sec, name=f"{name}.wbus")
         self.stats = FlashStats()
+        self._drain_pname = f"{name}.drain"
 
-    def read(self, nbytes: int):
-        """Process generator: one media read of ``nbytes``."""
-        if not self._read_ways.try_acquire():
-            yield self._read_ways.acquire()
-        try:
-            access = self.rng.jitter_ns(self.profile.read_access_ns, self.profile.jitter_cv)
-            yield self.sim.timeout(access)
-            yield self._read_bus.transfer(nbytes)
-        finally:
-            self._read_ways.release()
-        self.stats.reads += 1
-        self.stats.read_bytes += nbytes
+    def read(self, nbytes: int, then) -> None:
+        """One media read of ``nbytes``; ``then(event)`` runs once it is
+        done, with the event the read last waited on."""
+        op = _MediaOp(self, nbytes, then, _MediaOp._read_way)
+        if self._read_ways.try_acquire():
+            op._read_way(None)
+        else:
+            self.sim.wait(self._read_ways.acquire(), op)
 
-    def write(self, nbytes: int):
-        """Process generator: one write, acked from the write-back buffer.
+    def write(self, nbytes: int, then) -> None:
+        """One write, acked from the write-back buffer; ``then(event)``
+        runs at the ack.
 
         The command completes once a buffer slot is held and the
         buffered-ack time has passed; programming the media happens in
@@ -118,13 +116,11 @@ class FlashBackend:
         gives cache-hit latency; at saturation throughput equals the
         background drain rate (ways over access+bus service).
         """
-        if not self._write_buffer.try_acquire():
-            yield self._write_buffer.acquire()
-        ack = self.rng.jitter_ns(self.profile.write_ack_ns, self.profile.jitter_cv)
-        yield self.sim.timeout(ack)
-        self.sim.start(self._drain(nbytes), name=f"{self.name}.drain")
-        self.stats.writes += 1
-        self.stats.write_bytes += nbytes
+        op = _MediaOp(self, nbytes, then, _MediaOp._write_slot)
+        if self._write_buffer.try_acquire():
+            op._write_slot(None)
+        else:
+            self.sim.wait(self._write_buffer.acquire(), op)
 
     def _drain(self, nbytes: int):
         """Background media program for one buffered write."""
@@ -138,7 +134,65 @@ class FlashBackend:
             self._write_ways.release()
             self._write_buffer.release()
 
-    def flush(self):
-        """Flush is a buffer drain: bounded by the write bus backlog."""
+    def flush(self, then) -> None:
+        """Flush is a buffer drain, bounded by the write bus backlog;
+        ``then(event)`` runs once it is done."""
         backlog_ns = max(0, self._write_bus.busy_until() - self.sim.now)
-        yield self.sim.timeout(backlog_ns + self.profile.write_access_ns)
+        self.sim.timeout(backlog_ns + self.profile.write_access_ns).callbacks.append(then)
+
+
+class _MediaOp:
+    """One media read or buffered write in flight.
+
+    The op is the continuation of every event it waits on (a fresh
+    timer by appending to it, anything else through
+    :meth:`~repro.sim.Simulator.wait`); ``step`` is its state, the step
+    that runs next.  When the op is done, ``then`` runs in the same
+    dispatch, with the op's last event."""
+
+    __slots__ = ("flash", "nbytes", "then", "step")
+
+    def __init__(self, flash: FlashBackend, nbytes: int, then, step):
+        self.flash = flash
+        self.nbytes = nbytes
+        self.then = then
+        self.step = step
+
+    def __call__(self, ev) -> None:
+        if not ev._ok:
+            raise failure(ev)
+        self.step(self, ev)
+
+    # read: a way, the die access, then the shared read bus
+    def _read_way(self, _ev) -> None:
+        flash = self.flash
+        profile = flash.profile
+        access = flash.rng.jitter_ns(profile.read_access_ns, profile.jitter_cv)
+        self.step = _MediaOp._read_access
+        flash.sim.timeout(access).callbacks.append(self)
+
+    def _read_access(self, _ev) -> None:
+        self.step = _MediaOp._read_bus
+        self.flash.sim.wait(self.flash._read_bus.transfer(self.nbytes), self)
+
+    def _read_bus(self, ev) -> None:
+        flash = self.flash
+        flash._read_ways.release()
+        flash.stats.reads += 1
+        flash.stats.read_bytes += self.nbytes
+        self.then(ev)
+
+    # write: a buffer slot, then the buffered-ack time
+    def _write_slot(self, _ev) -> None:
+        flash = self.flash
+        profile = flash.profile
+        ack = flash.rng.jitter_ns(profile.write_ack_ns, profile.jitter_cv)
+        self.step = _MediaOp._write_ack
+        flash.sim.timeout(ack).callbacks.append(self)
+
+    def _write_ack(self, ev) -> None:
+        flash = self.flash
+        flash.sim.start(flash._drain(self.nbytes), name=flash._drain_pname)
+        flash.stats.writes += 1
+        flash.stats.write_bytes += self.nbytes
+        self.then(ev)

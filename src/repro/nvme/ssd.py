@@ -15,13 +15,13 @@ data.  Performance runs elide payloads and only timing is charged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..sim.units import PAGE_SIZE
 from ..pcie.config_space import ConfigSpace
 from ..pcie.fabric import PCIeFabric, Port
 from ..pcie.function import PCIeFunction
-from ..sim import Event, SimulationError, Simulator, StreamFactory
+from ..sim import Event, SimulationError, Simulator, StreamFactory, failure
 from ..sim.units import sec
 from .command import SQE, alloc_cqe
 from .firmware import FirmwareImage, FirmwareSlots
@@ -39,7 +39,7 @@ from .spec import (
     StatusCode,
 )
 
-__all__ = ["NVMeSSD", "SSDStats", "DEFAULT_FIRMWARE"]
+__all__ = ["NVMeSSD", "DriveCommand", "SSDStats", "DEFAULT_FIRMWARE"]
 
 
 class _Removed(Exception):
@@ -105,7 +105,6 @@ class NVMeSSD:
     ):
         self.sim = sim
         self.name = name
-        self._cmd_pname = name + ".cmd"
         self.profile = profile
         self.port: Port = fabric.attach(name, lanes=lanes)
         self.flash = FlashBackend(sim, profile, streams.stream(f"{name}.flash"), name=f"{name}.flash")
@@ -170,10 +169,6 @@ class NVMeSSD:
     def detach_queue_pair(self, qid: int) -> None:
         self._queues.pop(qid, None)
 
-    @property
-    def queue_ids(self) -> list[int]:
-        return sorted(self._queues)
-
     def on_removed(self) -> None:
         """The drive was pulled from its slot.  Executions in flight stop
         at their next DMA and complete nothing: the PRP lists and rings
@@ -190,203 +185,22 @@ class NVMeSSD:
         if qp is None:
             return
         sq = qp.sq
-        spawn = self.sim.spawn
+        timeout = self.sim.timeout
         while True:
             # batch-consume every published SQE before touching the
             # shadow-doorbell state: one doorbell pays for the whole burst
             while sq.tail != sq.head:
-                addr = sq.consume_addr()
-                spawn(self._execute(qid, qp, addr), name=self._cmd_pname)
+                cmd = DriveCommand(self, qid, qp, sq.consume_addr())
+                timeout(0).callbacks.append(cmd)
             # shadow-doorbell rings re-check after arming the wakeup so
             # entries published without an MMIO are never stranded
             if not (qp.sq.shadow_mode and qp.sq.rearm_doorbell()):
                 break
 
-    # --------------------------------------------------------------- command
-    def _execute(self, qid: int, qp: QueuePair, sqe_addr: int):
-        if self._paused:
-            yield self._wait_resume()
-        self.stats.inflight += 1
-        dropped = False
-        tr = qp.translation
-        era = self._era
-        try:
-            fetch_addr = sqe_addr if tr is None else tr.tag(sqe_addr)
-            sqe = yield self.port.mem_read(fetch_addr, SQE_BYTES)
-            self._check_present(era)
-            if not isinstance(sqe, SQE):
-                raise SimulationError(f"{self.name}: no SQE at {sqe_addr:#x}")
-            yield self.sim.timeout(DECODE_NS)
-            self._check_present(era)
-            if (
-                qid != 0
-                and self.faults is not None
-                and self.faults.drop_command(self.name, span=sqe.span)
-            ):
-                # injected command loss: the drive swallows the command
-                # and never posts a CQE; only a host-side timeout recovers
-                dropped = True
-                status, result = int(StatusCode.SUCCESS), 0
-            elif qid == 0:
-                status, result = yield from self._admin(sqe)
-            else:
-                status, result = yield from self._io(sqe, tr, era)
-        except _Removed:
-            # the drive was pulled mid-command: no further DMA, no CQE —
-            # the host side already failed the command (or will time it
-            # out, on a passthrough queue)
-            return
-        finally:
-            self.stats.inflight -= 1
-            self._check_drained()
-        if dropped or self._era != era:
-            return
-        yield from self._complete(qid, qp, sqe, status, result)
-
-    def _complete(self, qid: int, qp: QueuePair, sqe: SQE, status: int, result: int):
-        tr = qp.translation
-        cqe = alloc_cqe(sqe.cid, status, qp.sq.head, qid, result)
-        if status != int(StatusCode.SUCCESS):
-            self.stats.errors += 1
-        # DMA the CQE into the completion ring, then make it host-visible.
-        target = qp.cq.slot_addr(qp.cq.tail)
-        if tr is not None:
-            target = tr.tag(target)
-        yield self.port.mem_write(target, CQE_BYTES, None)
-        qp.cq.post_slot(cqe)
-        if qp.cq.irq_vector is not None:
-            if tr is not None:
-                qp.cq.note_cqe(self.sim, tr.fire_irq(qp.cq))
-            else:
-                qp.cq.note_cqe(self.sim, self._fire_vector(qp.cq))
-
     def _fire_vector(self, cq):
         def fire() -> None:
             self.function.msix.post_vector(self.port, cq.irq_vector)
         return fire
-
-    # ------------------------------------------------------------------- I/O
-    def _io(self, sqe: SQE, translation, era: int):
-        ns = self.namespaces.get(sqe.nsid)
-        if ns is None:
-            return int(StatusCode.INVALID_NAMESPACE), 0
-        opcode = sqe.opcode
-        span = sqe.span
-        if opcode == int(IOOpcode.FLUSH):
-            yield from self.flash.flush()
-            if span is not None:
-                span.stamp("ssd_dma", self.sim.now)
-            return int(StatusCode.SUCCESS), 0
-        nblocks = sqe.num_blocks
-        # passthrough queues carry guest LBAs: bound-check against the
-        # translation window, then shift by its base.  The SQE is shared
-        # host state — never mutate it, keep the shifted LBA local.
-        slba = sqe.slba
-        if translation is not None:
-            if slba + nblocks > translation.num_blocks:
-                return int(StatusCode.LBA_OUT_OF_RANGE), 0
-            slba = slba + translation.lba_offset
-        if not ns.contains(slba, nblocks):
-            return int(StatusCode.LBA_OUT_OF_RANGE), 0
-        length = nblocks * ns.block_bytes
-        pages = yield from self._resolve_prps(sqe, length, translation, era)
-
-        if self.faults is not None:
-            stall = self.faults.media_stall_ns(self.name, span=span)
-            if stall:
-                yield self.sim.timeout(stall)
-            forced = self.faults.media_error(
-                self.name, opcode, sqe.slba, nblocks, span=span
-            )
-            if forced is not None:
-                # the failing media op still burns its access time
-                if opcode == int(IOOpcode.WRITE):
-                    yield from self.flash.write(length)
-                else:
-                    yield from self.flash.read(length)
-                return forced, 0
-
-        if opcode == int(IOOpcode.READ):
-            if self.bad_lbas and any(
-                (slba + i) in self.bad_lbas for i in range(nblocks)
-            ):
-                # grown media defect: the ECC retry burns time, then fails
-                yield from self.flash.read(length)
-                return int(StatusCode.DATA_TRANSFER_ERROR), 0
-            yield from self.flash.read(length)
-            payload = self._load_blocks(slba, nblocks)
-            yield from self._dma_out(pages, length, payload, era)
-            if span is not None:
-                span.stamp("ssd_dma", self.sim.now)
-            self.stats.read_ops += 1
-            self.stats.read_bytes += length
-            return int(StatusCode.SUCCESS), 0
-
-        if opcode == int(IOOpcode.WRITE):
-            payload = yield from self._dma_in(pages, length, sqe.payload is not None, era)
-            if sqe.payload is not None:
-                payload = sqe.payload  # authoritative copy from the submitter
-            if payload is not None:
-                self._store_blocks(slba, nblocks, payload)
-            yield from self.flash.write(length)
-            if span is not None:
-                span.stamp("ssd_dma", self.sim.now)
-            self.stats.write_ops += 1
-            self.stats.write_bytes += length
-            return int(StatusCode.SUCCESS), 0
-
-        if opcode in (int(IOOpcode.WRITE_ZEROES), int(IOOpcode.DSM)):
-            for lba in range(slba, slba + nblocks):
-                self._blocks.pop(lba, None)
-            return int(StatusCode.SUCCESS), 0
-
-        return int(StatusCode.INVALID_OPCODE), 0
-
-    def _resolve_prps(self, sqe: SQE, length: int, translation, era: int):
-        list_bytes = prp_list_bytes(sqe.prp1, length)
-        prp_list = None
-        if list_bytes:
-            list_addr = sqe.prp2
-            if translation is not None:
-                list_addr = translation.tag(list_addr)
-            prp_list = yield self.port.mem_read(list_addr, list_bytes)
-            # a list read that straddled a removal may hold a recycled page
-            self._check_present(era)
-        pages = walk_prps(sqe.prp1, sqe.prp2, length, prp_list)
-        if self.checks is not None:
-            self.checks.on_prp_chain(
-                pages, length, span=sqe.span,
-                memory_name=None, where=self.name,
-            )
-        if translation is not None:
-            # guest PRPs name host pages: tag each with the function id
-            # so the engine's root space routes the TLPs out the front
-            pages = translation.tag_pages(pages)
-        return pages
-
-    def _dma_out(self, pages: Sequence[int], length: int, payload: Optional[bytes],
-                 era: int):
-        """DMA data toward the PRP pages (device -> memory)."""
-        if payload is None:
-            self._check_present(era)
-            yield self.port.mem_write(pages[0], length, None)
-            return
-        for page_addr, offset, chunk in page_spans(pages, length):
-            self._check_present(era)
-            yield self.port.mem_write(page_addr, chunk, payload[offset : offset + chunk])
-
-    def _dma_in(self, pages: Sequence[int], length: int, want_data: bool, era: int):
-        """DMA data from the PRP pages (memory -> device)."""
-        if not want_data:
-            self._check_present(era)
-            yield self.port.mem_read(pages[0], length)
-            return None
-        out = bytearray()
-        for page_addr, _, chunk in page_spans(pages, length):
-            self._check_present(era)
-            data = yield self.port.mem_read(page_addr, chunk)
-            out += data if isinstance(data, (bytes, bytearray)) else bytes(chunk)
-        return bytes(out)
 
     # -------------------------------------------------------------- block data
     def _store_blocks(self, slba: int, nblocks: int, payload: bytes) -> None:
@@ -508,10 +322,339 @@ class NVMeSSD:
             ev.succeed()
 
     # ------------------------------------------------------------------ misc
-    @property
-    def is_paused(self) -> bool:
-        return self._paused
-
     def block_data(self, lba: int) -> Optional[bytes]:
         """Test hook: raw stored bytes of one LBA."""
         return self._blocks.get(lba)
+
+
+_SUCCESS = int(StatusCode.SUCCESS)
+_READ = int(IOOpcode.READ)
+_WRITE = int(IOOpcode.WRITE)
+_FLUSH = int(IOOpcode.FLUSH)
+
+
+class DriveCommand:
+    """One command the drive fetched, from its SQE fetch to its CQE.
+
+    Fig. 6 steps ④-⑥ on the device: fetch the SQE, decode, walk the
+    PRPs, run the media op, DMA the data, post the CQE and raise MSI-X.
+    The state that lives across the waits is these slots.  The record
+    itself is the continuation of every event it waits on (a callable
+    costs no bound-method object per command in flight): a fresh timer
+    by appending to it, anything else through
+    :meth:`~repro.sim.Simulator.wait`.  ``step`` is its state, the step
+    that runs next.  The order in which the steps schedule their events
+    is pinned by the dispatch-order fingerprints
+    (``tests/sim/test_dispatch_fingerprint.py``).
+
+    A surprise removal (:meth:`NVMeSSD.on_removed`) stops the command at
+    its next DMA; it then completes nothing.  An admin command (qid 0)
+    runs :meth:`NVMeSSD._admin`, a generator the record steps itself.
+    """
+
+    __slots__ = ("ssd", "qid", "qp", "tr", "era", "sqe", "step",
+                 "slba", "length", "pages", "status", "work")
+
+    def __init__(self, ssd: NVMeSSD, qid: int, qp: QueuePair, sqe_addr: int):
+        self.ssd = ssd
+        self.qid = qid
+        self.qp = qp
+        #: the SQE's ring address until it is fetched
+        self.sqe = sqe_addr
+        self.step = DriveCommand._admit
+        #: the data path's page spans still to DMA (with a read's
+        #: payload), the admin generator, or the CQE being posted
+        self.work = None
+
+    def __call__(self, ev: Event) -> None:
+        if not ev._ok:
+            raise failure(ev)
+        try:
+            self.step(self, ev._value)
+        except _Removed:
+            # the drive was pulled mid-command: no further DMA, no CQE —
+            # the host side already failed the command (or will time it
+            # out, on a passthrough queue)
+            self._settle()
+
+    def _settle(self) -> None:
+        """The command leaves the media path (done, dropped or removed)."""
+        ssd = self.ssd
+        ssd.stats.inflight -= 1
+        ssd._check_drained()
+
+    # -------------------------------------------------- fetch and decode
+    def _admit(self, _value) -> None:
+        ssd = self.ssd
+        if ssd._paused:
+            self.step = DriveCommand._fetch
+            ssd.sim.wait(ssd._wait_resume(), self)
+        else:
+            self._fetch(None)
+
+    def _fetch(self, _value) -> None:
+        ssd = self.ssd
+        ssd.stats.inflight += 1
+        self.tr = tr = self.qp.translation
+        self.era = ssd._era
+        addr = self.sqe
+        self.step = DriveCommand._fetched
+        ssd.sim.wait(ssd.port.mem_read(addr if tr is None else tr.tag(addr), SQE_BYTES), self)
+
+    def _fetched(self, sqe) -> None:
+        ssd = self.ssd
+        ssd._check_present(self.era)
+        if not isinstance(sqe, SQE):
+            raise SimulationError(f"{ssd.name}: no SQE at {self.sqe:#x}")
+        self.sqe = sqe
+        self.step = DriveCommand._decoded
+        ssd.sim.timeout(DECODE_NS).callbacks.append(self)
+
+    def _decoded(self, _value) -> None:
+        ssd = self.ssd
+        ssd._check_present(self.era)
+        if self.qid == 0:
+            self.work = ssd._admin(self.sqe)
+            self._admin_step(None)
+        elif ssd.faults is not None and ssd.faults.drop_command(
+                ssd.name, span=self.sqe.span):
+            # injected command loss: the drive swallows the command and
+            # never posts a CQE; only a host-side timeout recovers
+            self._settle()
+        else:
+            self._io()
+
+    def _admin_step(self, value) -> None:
+        try:
+            event = self.work.send(value)
+        except StopIteration as stop:
+            self.work = None
+            self._done(*stop.value)
+            return
+        self.step = DriveCommand._admin_step
+        self.ssd.sim.wait(event, self)
+
+    def _done(self, status: int, result: int = 0) -> None:
+        """The media path returned ``status``: complete the command."""
+        self._settle()
+        if self.ssd._era == self.era:
+            self._complete(status, result)
+
+    # ---------------------------------------------------------------- I/O
+    def _io(self) -> None:
+        ssd = self.ssd
+        sqe = self.sqe
+        ns = ssd.namespaces.get(sqe.nsid)
+        if ns is None:
+            self._done(int(StatusCode.INVALID_NAMESPACE))
+            return
+        if sqe.opcode == _FLUSH:
+            self.step = DriveCommand._flushed
+            ssd.flash.flush(self)
+            return
+        nblocks = sqe.num_blocks
+        # passthrough queues carry guest LBAs: bound-check against the
+        # translation window, then shift by its base.  The SQE is shared
+        # host state — never mutate it, keep the shifted LBA local.
+        slba = sqe.slba
+        tr = self.tr
+        if tr is not None:
+            if slba + nblocks > tr.num_blocks:
+                self._done(int(StatusCode.LBA_OUT_OF_RANGE))
+                return
+            slba = slba + tr.lba_offset
+        if not ns.contains(slba, nblocks):
+            self._done(int(StatusCode.LBA_OUT_OF_RANGE))
+            return
+        self.slba = slba
+        self.length = length = nblocks * ns.block_bytes
+        list_bytes = prp_list_bytes(sqe.prp1, length)
+        if list_bytes:
+            list_addr = sqe.prp2
+            if tr is not None:
+                list_addr = tr.tag(list_addr)
+            self.step = DriveCommand._prp_list
+            ssd.sim.wait(ssd.port.mem_read(list_addr, list_bytes), self)
+        else:
+            self._walk_prps(None)
+
+    def _flushed(self, _value) -> None:
+        span = self.sqe.span
+        if span is not None:
+            span.stamp("ssd_dma", self.ssd.sim.now)
+        self._done(_SUCCESS)
+
+    def _prp_list(self, prp_list) -> None:
+        # a list read that straddled a removal may hold a recycled page
+        self.ssd._check_present(self.era)
+        self._walk_prps(prp_list)
+
+    def _walk_prps(self, prp_list) -> None:
+        ssd = self.ssd
+        sqe = self.sqe
+        pages = walk_prps(sqe.prp1, sqe.prp2, self.length, prp_list)
+        if ssd.checks is not None:
+            ssd.checks.on_prp_chain(
+                pages, self.length, span=sqe.span,
+                memory_name=None, where=ssd.name,
+            )
+        if self.tr is not None:
+            # guest PRPs name host pages: tag each with the function id
+            # so the engine's root space routes the TLPs out the front
+            pages = self.tr.tag_pages(pages)
+        self.pages = pages
+        faults = ssd.faults
+        if faults is None:
+            self._media()
+            return
+        stall = faults.media_stall_ns(ssd.name, span=sqe.span)
+        if stall:
+            self.step = DriveCommand._injected
+            ssd.sim.timeout(stall).callbacks.append(self)
+        else:
+            self._injected(None)
+
+    def _injected(self, _value) -> None:
+        ssd = self.ssd
+        sqe = self.sqe
+        forced = ssd.faults.media_error(
+            ssd.name, sqe.opcode, sqe.slba, sqe.num_blocks, span=sqe.span
+        )
+        if forced is None:
+            self._media()
+            return
+        # the failing media op still burns its access time
+        self.status = forced
+        self.step = DriveCommand._failed
+        if sqe.opcode == _WRITE:
+            ssd.flash.write(self.length, self)
+        else:
+            ssd.flash.read(self.length, self)
+
+    def _failed(self, _value) -> None:
+        self._done(self.status)
+
+    def _media(self) -> None:
+        ssd = self.ssd
+        sqe = self.sqe
+        opcode = sqe.opcode
+        if opcode == _READ:
+            if ssd.bad_lbas and any(
+                (self.slba + i) in ssd.bad_lbas for i in range(sqe.num_blocks)
+            ):
+                # grown media defect: the ECC retry burns time, then fails
+                self.status = int(StatusCode.DATA_TRANSFER_ERROR)
+                self.step = DriveCommand._failed
+            else:
+                self.step = DriveCommand._read
+            ssd.flash.read(self.length, self)
+        elif opcode == _WRITE:
+            if sqe.payload is None:
+                ssd._check_present(self.era)
+                self.step = DriveCommand._gathered
+                ssd.sim.wait(ssd.port.mem_read(self.pages[0], self.length), self)
+            else:
+                self.work = list(page_spans(self.pages, self.length))[::-1]
+                self._gather()
+        elif opcode in (int(IOOpcode.WRITE_ZEROES), int(IOOpcode.DSM)):
+            for lba in range(self.slba, self.slba + sqe.num_blocks):
+                ssd._blocks.pop(lba, None)
+            self._done(_SUCCESS)
+        else:
+            self._done(int(StatusCode.INVALID_OPCODE))
+
+    # ------------------------------------------- read: media, then DMA out
+    def _read(self, _value) -> None:
+        ssd = self.ssd
+        payload = ssd._load_blocks(self.slba, self.sqe.num_blocks)
+        if payload is None:
+            ssd._check_present(self.era)
+            self.step = DriveCommand._scattered
+            ssd.sim.wait(ssd.port.mem_write(self.pages[0], self.length, None), self)
+        else:
+            self.work = (list(page_spans(self.pages, self.length))[::-1], payload)
+            self._scatter(None)
+
+    def _scatter(self, _value) -> None:
+        """DMA the next page span toward the PRP pages (device -> memory)."""
+        spans, payload = self.work
+        if not spans:
+            self.work = None
+            self._scattered(None)
+            return
+        page_addr, offset, chunk = spans.pop()
+        ssd = self.ssd
+        ssd._check_present(self.era)
+        self.step = DriveCommand._scatter
+        ssd.sim.wait(ssd.port.mem_write(page_addr, chunk, payload[offset : offset + chunk]), self)
+
+    def _scattered(self, _value) -> None:
+        ssd = self.ssd
+        span = self.sqe.span
+        if span is not None:
+            span.stamp("ssd_dma", ssd.sim.now)
+        ssd.stats.read_ops += 1
+        ssd.stats.read_bytes += self.length
+        self._done(_SUCCESS)
+
+    # ------------------------------------------- write: DMA in, then media
+    def _gather(self) -> None:
+        """DMA the next page span from the PRP pages (memory -> device).
+        The bytes that land are the submitter's payload, which the SQE
+        carries as the authoritative copy."""
+        page_addr, _, chunk = self.work.pop()
+        ssd = self.ssd
+        ssd._check_present(self.era)
+        self.step = DriveCommand._gathered_span
+        ssd.sim.wait(ssd.port.mem_read(page_addr, chunk), self)
+
+    def _gathered_span(self, _data) -> None:
+        if self.work:
+            self._gather()
+        else:
+            self.work = None
+            self._gathered(None)
+
+    def _gathered(self, _data) -> None:
+        ssd = self.ssd
+        sqe = self.sqe
+        if sqe.payload is not None:
+            ssd._store_blocks(self.slba, sqe.num_blocks, sqe.payload)
+        self.step = DriveCommand._written
+        ssd.flash.write(self.length, self)
+
+    def _written(self, _value) -> None:
+        ssd = self.ssd
+        span = self.sqe.span
+        if span is not None:
+            span.stamp("ssd_dma", ssd.sim.now)
+        ssd.stats.write_ops += 1
+        ssd.stats.write_bytes += self.length
+        self._done(_SUCCESS)
+
+    # ------------------------------------------------------------ complete
+    def _complete(self, status: int, result: int) -> None:
+        """DMA the CQE into the completion ring, then make it host-visible."""
+        ssd = self.ssd
+        qp = self.qp
+        self.tr = tr = qp.translation
+        self.work = alloc_cqe(self.sqe.cid, status, qp.sq.head, self.qid, result)
+        if status != _SUCCESS:
+            ssd.stats.errors += 1
+        target = qp.cq.slot_addr(qp.cq.tail)
+        if tr is not None:
+            target = tr.tag(target)
+        self.step = DriveCommand._posted
+        ssd.sim.wait(ssd.port.mem_write(target, CQE_BYTES, None), self)
+
+    def _posted(self, _value) -> None:
+        ssd = self.ssd
+        cq = self.qp.cq
+        cq.post_slot(self.work)
+        self.work = None
+        if cq.irq_vector is not None:
+            tr = self.tr
+            if tr is not None:
+                cq.note_cqe(ssd.sim, tr.fire_irq(cq))
+            else:
+                cq.note_cqe(ssd.sim, ssd._fire_vector(cq))

@@ -126,33 +126,45 @@ class _SpanReads:
 
 
 class IOSpan(_SpanReads):
-    """Stage timestamps of one command's trip through the datapath."""
+    """Stage timestamps of one command's trip through the datapath.
 
-    __slots__ = ("op", "origin", "stamps", "faults")
+    The stamps live in one fixed list, a slot per stage of
+    :data:`STAMP_ORDER` (None = not stamped): a span rides every
+    command in flight, and a list of eleven costs less than a dict.
+    """
+
+    __slots__ = ("op", "origin", "_times", "faults")
 
     def __init__(self, op: str, origin: str = ""):
         self.op = op  # "read" | "write" | "flush" | opcode repr
         self.origin = origin  # submitting driver's name
-        self.stamps: dict[str, int] = {}
+        self._times: list[Optional[int]] = [None] * len(STAMP_ORDER)
         self.faults: list[str] = []  # injected-fault kinds this span hit
 
     def stamp(self, stage: str, time_ns: int) -> None:
         """Record ``stage`` at ``time_ns`` (re-stamping keeps the latest)."""
-        if stage not in _STAGE_INDEX:
+        i = _STAGE_INDEX.get(stage)
+        if i is None:
             raise ValueError(f"unknown span stage {stage!r} (known: {STAMP_ORDER})")
-        self.stamps[stage] = time_ns
+        self._times[i] = time_ns
 
     def note_fault(self, kind: str) -> None:
         """Mark this command as having hit an injected fault."""
         self.faults.append(kind)
 
+    @property
+    def stamps(self) -> dict[str, int]:
+        """stage -> time of every stamped stage, in datapath order."""
+        return dict(self.ordered_stamps())
+
     def get(self, stage: str) -> Optional[int]:
-        return self.stamps.get(stage)
+        i = _STAGE_INDEX.get(stage)
+        return None if i is None else self._times[i]
 
     def ordered_stamps(self) -> list[tuple[str, int]]:
         """(stage, time) pairs in datapath order."""
-        stamps = self.stamps
-        return [(stage, stamps[stage]) for stage in STAMP_ORDER if stage in stamps]
+        return [(stage, t) for stage, t in zip(STAMP_ORDER, self._times)
+                if t is not None]
 
 
 class SpanRow(_SpanReads):
@@ -229,10 +241,8 @@ class SpanLog:
         if row >= self.capacity:
             self.dropped += 1
             return span.ordered_stamps()
-        stamps = span.stamps
         ordered = []
-        for stage, col in zip(STAMP_ORDER, self._cols):
-            t = stamps.get(stage)
+        for stage, col, t in zip(STAMP_ORDER, self._cols, span._times):
             if t is None:
                 col.append(_UNSTAMPED)
             else:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..apps.minikv.encoding import decode_records, find_record
+from ..apps.minikv.encoding import decode_records, find_record, lookup_index_block
 from ..mgmt.nvme_mi import MIOpcode, MIStatus
 from ..nvme.spec import LBA_BYTES, AdminOpcode, IOOpcode, StatusCode
 from ..sim import SimulationError
@@ -109,6 +109,9 @@ class PushManager:
         self.costs = costs
         self.programs: dict[str, InstalledProgram] = {}
         self.programs_installed = 0
+        #: counter handles, looked up once, on first use: a snapshot
+        #: lists a counter only once something has counted
+        self._c_exec_ns = self._c_hops_saved = None
         #: the world's CheckContext (push checker); None = dormant, zero-cost
         self.checks = engine.sim.checker("push")
         hooks = engine.hooks
@@ -226,8 +229,12 @@ class PushManager:
         saved = max(0, result.hops - 1)
         entry.hops_saved += saved
         if saved:
-            self.obs.counter("push_hops_saved").inc(saved)
-        self.obs.counter("push_exec_ns").inc(elapsed)
+            if self._c_hops_saved is None:
+                self._c_hops_saved = self.obs.counter("push_hops_saved")
+            self._c_hops_saved.inc(saved)
+        if self._c_exec_ns is None:
+            self._c_exec_ns = self.obs.counter("push_exec_ns")
+        self._c_exec_ns.inc(elapsed)
         return status
 
     # ------------------------------------------------------- backend hops
@@ -292,7 +299,7 @@ class PushManager:
                 return status
             if carry:
                 yield sim.timeout(self.costs.scan_ns)
-                block_idx = self._index_lookup(raw or b"", key)
+                block_idx = lookup_index_block(raw or b"", key)
             else:
                 block_idx = cand.get("shadow_ptr")
             if block_idx is None:
@@ -316,16 +323,6 @@ class PushManager:
                 result.block_idx = block_idx
                 break
         return int(StatusCode.SUCCESS)
-
-    @staticmethod
-    def _index_lookup(raw: bytes, key) -> Optional[int]:
-        """Last index record with first_key <= key -> data block number."""
-        best = None
-        for rec_key, value, _seq in decode_records(raw):
-            if key is not None and rec_key > key:
-                break
-            best = int.from_bytes(value[:8], "little")
-        return best
 
     def _run_filter(self, fn, ens, entry, inv, result: PushResult, span):
         """Filter/aggregate-on-read over one bounded contiguous range."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..nvme.flash import FlashBackend, FlashProfile, P4510_PROFILE
-from ..sim import Event, Simulator, StreamFactory
+from ..sim import Event, Simulator, StreamFactory, failure
 
 __all__ = ["RemoteCompletion", "RemoteStorageTarget"]
 
@@ -59,38 +59,71 @@ class RemoteStorageTarget:
                 payload: Optional[bytes] = None) -> Event:
         """Serve one capsule; the event fires with a RemoteCompletion."""
         done = self.sim.event(name=f"{self.name}.cmd")
-        self.sim.spawn(self._serve(op, lba, nblocks, payload, done),
-                       name=f"{self.name}.serve")
+        capsule = _Capsule(self, op, lba, nblocks, payload, done)
+        self.sim.timeout(0).callbacks.append(capsule)
         return done
 
-    def _serve(self, op, lba, nblocks, payload, done: Event):
-        self.commands += 1
-        if lba < 0 or lba + nblocks > self.num_blocks:
-            done.succeed(RemoteCompletion(ok=False))
+
+class _Capsule:
+    """One capsule in service: target CPU time, then the media op.  The
+    capsule is the continuation of both; ``step`` runs next."""
+
+    __slots__ = ("target", "op", "lba", "nblocks", "payload", "done", "step")
+
+    def __init__(self, target: RemoteStorageTarget, op: str, lba: int,
+                 nblocks: int, payload: Optional[bytes], done: Event):
+        self.target = target
+        self.op = op
+        self.lba = lba
+        self.nblocks = nblocks
+        self.payload = payload
+        self.done = done
+        self.step = _Capsule._arrive
+
+    def __call__(self, ev: Event) -> None:
+        if not ev._ok:
+            raise failure(ev)
+        self.step(self)
+
+    def _arrive(self) -> None:
+        target = self.target
+        target.commands += 1
+        if self.lba < 0 or self.lba + self.nblocks > target.num_blocks:
+            self.done.succeed(RemoteCompletion(ok=False))
             return
-        yield self.sim.timeout(self.target_cpu_ns)
+        self.step = _Capsule._serve
+        target.sim.timeout(target.target_cpu_ns).callbacks.append(self)
+
+    def _serve(self) -> None:
+        target = self.target
+        lba, nblocks = self.lba, self.nblocks
         length = nblocks * LBA_BYTES
-        if op == "read":
-            yield from self.flash.read(length)
-            data = None
-            if any((lba + i) in self._blocks for i in range(nblocks)):
-                data = b"".join(
-                    self._blocks.get(lba + i, bytes(LBA_BYTES))
-                    for i in range(nblocks)
-                )
-            done.succeed(RemoteCompletion(ok=True, data=data))
-            return
-        if op == "write":
-            if payload is not None:
+        if self.op == "read":
+            self.step = _Capsule._read
+            target.flash.read(length, self)
+        elif self.op == "write":
+            if self.payload is not None:
                 for i in range(nblocks):
-                    self._blocks[lba + i] = payload[
+                    target._blocks[lba + i] = self.payload[
                         i * LBA_BYTES : (i + 1) * LBA_BYTES
                     ].ljust(LBA_BYTES, b"\0")
-            yield from self.flash.write(length)
-            done.succeed(RemoteCompletion(ok=True))
-            return
-        if op == "flush":
-            yield from self.flash.flush()
-            done.succeed(RemoteCompletion(ok=True))
-            return
-        done.succeed(RemoteCompletion(ok=False))
+            self.step = _Capsule._served
+            target.flash.write(length, self)
+        elif self.op == "flush":
+            self.step = _Capsule._served
+            target.flash.flush(self)
+        else:
+            self.done.succeed(RemoteCompletion(ok=False))
+
+    def _read(self) -> None:
+        blocks = self.target._blocks
+        lba, nblocks = self.lba, self.nblocks
+        data = None
+        if any((lba + i) in blocks for i in range(nblocks)):
+            data = b"".join(
+                blocks.get(lba + i, bytes(LBA_BYTES)) for i in range(nblocks)
+            )
+        self.done.succeed(RemoteCompletion(ok=True, data=data))
+
+    def _served(self) -> None:
+        self.done.succeed(RemoteCompletion(ok=True))

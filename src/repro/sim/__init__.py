@@ -3,7 +3,7 @@
 Public surface:
 
 * :class:`Simulator`, :class:`Event`, :class:`Process`, :class:`Timeout`,
-  :class:`Interrupt` — the kernel.
+  :class:`Interrupt`, :func:`failure` — the kernel.
 * :class:`Resource`, :class:`Store`, :class:`BandwidthLink`,
   :class:`TokenBucket` — contention primitives.
 * :class:`RandomStream`, :class:`StreamFactory` — deterministic randomness.
@@ -21,6 +21,7 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Timeout",
+    "failure",
     "RandomStream",
     "StreamFactory",
     "BandwidthLink",
@@ -34,7 +35,7 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(__name__, __all__, {
     "kernel": (
         "AllOf", "AnyOf", "Event", "Interrupt", "Process", "SimulationError",
-        "Simulator", "Timeout",
+        "Simulator", "Timeout", "failure",
     ),
     "random": ("RandomStream", "StreamFactory"),
     "resources": ("BandwidthLink", "Resource", "Store", "TokenBucket"),

@@ -3,7 +3,9 @@
 This is the substrate every hardware model in the reproduction runs on.
 It is a small, deterministic, generator-based event loop in the style of
 SimPy: *processes* are Python generators that ``yield`` events; the
-kernel resumes a process when the event it waits on fires.
+kernel resumes a process when the event it waits on fires.  The
+per-command hot paths use slotted records with continuations instead
+(:meth:`Simulator.wait`).
 
 Simulated time is an integer number of **nanoseconds**.  Using integers
 keeps event ordering exact and runs reproducible.
@@ -61,11 +63,20 @@ it.  The primitives:
   stand in for a handle already given out.  A DMA's last leg *is* its
   completion: the waiter resumes from the leg itself, where a
   completion event fired by the leg would have resumed it.
+* :meth:`Simulator.wait` attaches a *continuation* to an event by the
+  rule a process waits by (append, or replay a fired event through a
+  zero-delay timer; a failure is raised, see :func:`failure`).  The
+  state a command keeps across the media wait lives in one slotted
+  record per layer that is itself the continuation (the drive's
+  ``DriveCommand`` and its flash ``_MediaOp``, the fio ``FioWorker``),
+  not in a stack of generator frames.  A record's steps schedule their
+  events in the order a process's ``yield``s would, so the choice moves
+  no event's time or sequence number.
 
-A bootstrap stays where it orders: the engine's and the drive's
-per-command processes (``_process_cmd``, ``_execute``) start with a
-DMA, and starting them inline in the timer phase would let that DMA
-overtake same-instant transfers.
+A bootstrap stays where it orders: the engine's per-command process
+(``_process_cmd``) and the drive's ``DriveCommand`` start with a DMA,
+from a zero-delay timer; starting them inline in the timer phase would
+let that DMA overtake same-instant transfers.
 
 The per-event cost of this loop is the wall-clock of the whole repo, so
 the dispatch machinery is deliberately flat:
@@ -102,6 +113,7 @@ from typing import Any, Callable, Generator, Iterable, Optional
 from ..obs.metrics import MetricsRegistry
 
 __all__ = [
+    "failure",
     "Event",
     "Timeout",
     "Process",
@@ -342,12 +354,7 @@ class Process(Event):
             if trigger._ok:
                 target = self._generator.send(trigger._value)
             else:
-                err = trigger._value
-                if not isinstance(err, BaseException):
-                    err = SimulationError(
-                        f"event failed with non-exception value {err!r}"
-                    )
-                target = self._generator.throw(err)
+                target = self._generator.throw(failure(trigger))
         except StopIteration as stop:
             if self._recycle:
                 # spawned: no handle exists, so nothing can observe the
@@ -376,18 +383,7 @@ class Process(Event):
             )
         if target.sim is not sim:
             raise SimulationError("cannot wait on an event from a different simulator")
-        if target._processed:
-            # Already fired: resume immediately (at the current instant).
-            if target._ok:
-                poke: Event = sim.timeout(0, value=target._value)
-            else:
-                poke = Event(sim, name="replay")
-                poke.fail(target._value)
-            poke.callbacks.append(self._rcb)
-            self._waiting_on = poke
-        else:
-            self._waiting_on = target
-            target.callbacks.append(self._rcb)
+        self._waiting_on = sim.wait(target, self._rcb)
 
 
 class _Condition(Event):
@@ -462,6 +458,17 @@ class AllOf(_Condition):
 def _reraise(event: Event) -> None:
     """Callback re-raising a failure out of the dispatch loop."""
     raise event._value
+
+
+def failure(event: Event) -> BaseException:
+    """The exception a failed ``event`` raises in whatever waited on it:
+    thrown into a process, or raised by a continuation (see
+    :meth:`Simulator.wait`).  A plain-value failure reads as a clean
+    :class:`SimulationError`."""
+    err = event._value
+    if isinstance(err, BaseException):
+        return err
+    return SimulationError(f"event failed with non-exception value {err!r}")
 
 
 class Simulator:
@@ -703,6 +710,30 @@ class Simulator:
                 to.callbacks = callbacks
         if event._recycle:
             self._return_to_pool(event)
+
+    def wait(self, event: Event, callback: Callable[[Event], None]) -> Event:
+        """Run ``callback(event)`` when ``event`` fires; returns the event
+        actually waited on.
+
+        This is how a process waits on what it yields, and how an
+        in-flight record waits with a *continuation*, a callback that
+        picks the record's next step from its state.  An event that has
+        already fired is replayed through a zero-delay timer (a failure
+        through a failed event), so the callback runs at this instant,
+        in the completion phase, as it would had the event fired now.
+        A continuation that receives a failed event raises
+        :func:`failure` of it, as a process with no handler would.
+        """
+        if event._processed:
+            if event._ok:
+                poke: Event = self.timeout(0, value=event._value)
+            else:
+                poke = Event(self, name="replay")
+                poke.fail(event._value)
+            poke.callbacks.append(callback)
+            return poke
+        event.callbacks.append(callback)
+        return event
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)

@@ -14,10 +14,10 @@ from typing import Optional, Sequence
 
 from ..analysis.metrics import LatencyStats
 from ..host.block import BlockTarget
-from ..sim import Event, RandomStream, SimulationError, Simulator, StreamFactory
+from ..sim import Event, RandomStream, SimulationError, Simulator, StreamFactory, failure
 from ..sim.units import MS
 
-__all__ = ["FioSpec", "FioResult", "FioRun", "run_fio", "TABLE_IV_CASES"]
+__all__ = ["FioSpec", "FioResult", "FioRun", "FioWorker", "run_fio", "TABLE_IV_CASES"]
 
 
 @dataclass(frozen=True)
@@ -137,67 +137,26 @@ class FioRun:
         self.finished: Event = sim.event(name=f"{tag}.finished")
         self._live_jobs = 0
         self._pace_next: dict[int, int] = {}
+        #: a job's pacing between I/Os in ns; 0 = closed loop
+        self._pace_interval = 0
+        if spec.rate_mbps:
+            self._pace_interval = int(spec.block_bytes * 1e9 / (spec.rate_mbps * 1e6))
         for job in range(spec.numjobs):
             target = self.targets[job % len(self.targets)]
             rng = streams.stream(f"{tag}.job{job}", extra=job)
             for worker in range(spec.iodepth):
                 self._live_jobs += 1
-                sim.spawn(
-                    self._worker(job, worker, target, rng),
-                    name=f"{tag}.j{job}w{worker}",
-                )
+                sim.timeout(0).callbacks.append(
+                    FioWorker(self, job, worker, target, rng))
 
     def _region(self, target: BlockTarget) -> int:
         region = self.spec.region_blocks or target.num_blocks
         return max(self.spec.nblocks, min(region, target.num_blocks))
 
-    def _worker(self, job: int, worker: int, target: BlockTarget, rng: RandomStream):
-        spec = self.spec
-        region = self._region(target)
-        nblocks = spec.nblocks
-        # sequential workers stride through a per-worker slice, as fio
-        # offsets multiple jobs to avoid re-reading one another's data
-        seq_span = max(nblocks, region // max(1, spec.numjobs * spec.iodepth))
-        seq_base = ((job * spec.iodepth + worker) * seq_span) % max(1, region - nblocks + 1)
-        seq_off = 0
-        pace_interval = 0
-        if spec.rate_mbps:
-            pace_interval = int(spec.block_bytes * 1e9 / (spec.rate_mbps * 1e6))
-        while self.sim.now < self._window_end:
-            if pace_interval:
-                slot = max(self.sim.now, self._pace_next.get(job, 0))
-                self._pace_next[job] = slot + pace_interval
-                if slot > self.sim.now:
-                    yield self.sim.timeout(slot - self.sim.now)
-            if spec.is_random:
-                lba = rng.randint(0, max(0, region - nblocks))
-            else:
-                lba = seq_base + seq_off
-                seq_off += nblocks
-                if lba + nblocks > region or seq_off >= seq_span:
-                    seq_off = 0
-                    lba = seq_base
-            if spec.is_read:
-                info = yield target.read(lba, nblocks)
-            else:
-                info = yield target.write(lba, nblocks)
-            finish = self.sim.now
-            if self._window_start <= finish <= self._window_end:
-                # a failed I/O moved no data: it counts as an error only
-                if not info.ok:
-                    self._errors += 1
-                    continue
-                self._ios += 1
-                self._latencies.append(info.latency_ns)
-                idx = self.targets.index(target)
-                self._per_target[idx] = self._per_target.get(idx, 0) + 1
+    def _worker_done(self) -> None:
         self._live_jobs -= 1
         if self._live_jobs == 0:
             self.finished.succeed()
-
-    @property
-    def end_time_ns(self) -> int:
-        return self._window_end
 
     def result(self) -> FioResult:
         window = self.spec.runtime_ns
@@ -213,6 +172,92 @@ class FioRun:
 
     def latencies(self) -> list[int]:
         return list(self._latencies)
+
+
+class FioWorker:
+    """One of a job's ``iodepth`` closed-loop I/O slots: pick an LBA,
+    issue, wait for the completion, count it, repeat until the window
+    ends.
+
+    The worker is the continuation of the event it waits on (its start,
+    a pacing timer or an I/O's completion), and ``step`` is its state:
+    the step that runs next.
+    """
+
+    __slots__ = ("run", "job", "target", "rng", "region", "seq_span",
+                 "seq_base", "seq_off", "step")
+
+    def __init__(self, run: FioRun, job: int, worker: int, target: BlockTarget,
+                 rng: RandomStream):
+        spec = run.spec
+        self.run = run
+        self.job = job
+        self.target = target
+        self.rng = rng
+        self.region = region = run._region(target)
+        nblocks = spec.nblocks
+        # sequential workers stride through a per-worker slice, as fio
+        # offsets multiple jobs to avoid re-reading one another's data
+        self.seq_span = max(nblocks, region // max(1, spec.numjobs * spec.iodepth))
+        self.seq_base = ((job * spec.iodepth + worker) * self.seq_span) % max(
+            1, region - nblocks + 1)
+        self.seq_off = 0
+        self.step = FioWorker._next
+
+    def __call__(self, ev: Event) -> None:
+        if not ev._ok:
+            raise failure(ev)
+        self.step(self, ev._value)
+
+    def _next(self, _value=None) -> None:
+        """The loop's head: pace, issue, or leave once the window ends."""
+        run = self.run
+        sim = run.sim
+        if sim.now >= run._window_end:
+            run._worker_done()
+            return
+        pace = run._pace_interval
+        if pace:
+            slot = max(sim.now, run._pace_next.get(self.job, 0))
+            run._pace_next[self.job] = slot + pace
+            if slot > sim.now:
+                self.step = FioWorker._issue
+                sim.timeout(slot - sim.now).callbacks.append(self)
+                return
+        self._issue()
+
+    def _issue(self, _value=None) -> None:
+        run = self.run
+        spec = run.spec
+        nblocks = spec.nblocks
+        if spec.is_random:
+            lba = self.rng.randint(0, max(0, self.region - nblocks))
+        else:
+            lba = self.seq_base + self.seq_off
+            self.seq_off += nblocks
+            if lba + nblocks > self.region or self.seq_off >= self.seq_span:
+                self.seq_off = 0
+                lba = self.seq_base
+        if spec.is_read:
+            done = self.target.read(lba, nblocks)
+        else:
+            done = self.target.write(lba, nblocks)
+        self.step = FioWorker._completed
+        run.sim.wait(done, self)
+
+    def _completed(self, info) -> None:
+        run = self.run
+        finish = run.sim.now
+        if run._window_start <= finish <= run._window_end:
+            # a failed I/O moved no data: it counts as an error only
+            if not info.ok:
+                run._errors += 1
+            else:
+                run._ios += 1
+                run._latencies.append(info.latency_ns)
+                idx = run.targets.index(self.target)
+                run._per_target[idx] = run._per_target.get(idx, 0) + 1
+        self._next()
 
 
 def run_fio(

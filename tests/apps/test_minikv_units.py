@@ -18,6 +18,7 @@ from repro.apps.minikv import (
     find_record,
     record_size,
 )
+from repro.apps.minikv.encoding import lookup_index_block
 from repro.baselines import build_native
 from repro.sim import SimulationError
 
@@ -107,6 +108,18 @@ def test_find_record_first_of_equal_seqs_wins():
     assert find_record(blob, b"z") is None
     # a record one byte short of its frame is a torn tail, not a hit
     assert find_record(blob + encode_record(b"k", b"torn", 9)[:-1], b"k") == (b"first", 5)
+
+
+def test_lookup_index_block_picks_the_last_entry_at_or_below_the_key():
+    # index records: a data block's first key -> its block number
+    blob = b"".join(encode_record(first, n.to_bytes(8, "little"), 0)
+                    for n, first in enumerate((b"b", b"f", b"m")))
+    assert lookup_index_block(blob, b"a") is None  # precedes the table
+    assert lookup_index_block(blob, b"b") == 0
+    assert lookup_index_block(blob, b"g") == 1
+    assert lookup_index_block(blob, b"z") == 2
+    # no key (a pushdown invocation that carries none): the last entry
+    assert lookup_index_block(blob, None) == 2
 
 
 # -------------------------------------------------------------------- bloom

@@ -13,6 +13,14 @@ def make_flash():
     return sim, FlashBackend(sim, P4510_PROFILE, rng)
 
 
+def media(sim, op, *args):
+    """An event firing when one flash op, which takes a continuation,
+    is done."""
+    done = sim.event()
+    op(*args, lambda _ev: done.succeed())
+    return done
+
+
 def closed_loop(sim, flash, op, nbytes, workers, count):
     done = {"n": 0}
 
@@ -20,9 +28,9 @@ def closed_loop(sim, flash, op, nbytes, workers, count):
         while done["n"] < count:
             done["n"] += 1
             if op == "read":
-                yield sim.process(flash.read(nbytes))
+                yield media(sim, flash.read, nbytes)
             else:
-                yield sim.process(flash.write(nbytes))
+                yield media(sim, flash.write, nbytes)
 
     procs = [sim.process(worker()) for _ in range(workers)]
     sim.run(sim.all_of(procs))
@@ -53,7 +61,7 @@ def test_write_qd1_hits_buffer_latency():
     sim, flash = make_flash()
 
     def one():
-        yield sim.process(flash.write(4096))
+        yield media(sim, flash.write, 4096)
         return sim.now
 
     t = sim.run(sim.process(one()))
@@ -72,9 +80,9 @@ def test_flush_waits_for_backlog():
 
     def flow():
         for _ in range(16):
-            yield sim.process(flash.write(128 * 1024))
+            yield media(sim, flash.write, 128 * 1024)
         t0 = sim.now
-        yield sim.process(flash.flush())
+        yield media(sim, flash.flush)
         return sim.now - t0
 
     wait = sim.run(sim.process(flow()))

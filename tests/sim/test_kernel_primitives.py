@@ -7,12 +7,15 @@ multi-event forms they replace.
 * ``Resource.try_acquire()`` never overtakes a queued waiter, so grant
   order is that of ``acquire`` alone;
 * ``Simulator.start`` runs the first step inside the caller, and an
-  exception in that step surfaces out of ``run()``, not the caller.
+  exception in that step surfaces out of ``run()``, not the caller;
+* ``Simulator.wait`` resumes a continuation by the rule a process is
+  resumed by.
 """
 
 import pytest
 
-from repro.sim import BandwidthLink, Interrupt, Resource, Simulator
+from repro.sim import (BandwidthLink, Interrupt, Resource, SimulationError,
+                       Simulator, failure)
 
 
 # ------------------------------------------------------------ transfer
@@ -370,3 +373,65 @@ def test_completion_dispatches_once():
     sim.completion(sim.timeout(3))
     sim.run()
     assert sim.events_processed == 1 and sim.now == 3
+
+
+# ---------------------------------------------------------------- wait
+def _trace(sim, events, order):
+    """A process and a continuation wait on the same events in turn;
+    each logs (who, value, now) when it resumes."""
+    def proc():
+        for ev in events:
+            value = yield ev
+            order.append(("proc", value, sim.now))
+
+    class Record:
+        def __init__(self):
+            self.left = list(events)
+
+        def __call__(self, ev):
+            order.append(("record", ev.value, sim.now))
+            if self.left:
+                sim.wait(self.left.pop(0), self)
+
+    sim.process(proc())
+    record = Record()
+    sim.wait(record.left.pop(0), record)
+
+
+def test_wait_resumes_a_continuation_where_a_process_resumes():
+    sim = Simulator()
+    fired = sim.event().succeed("early")
+    sim.run()  # processed before anyone waits on it
+    order = []
+    _trace(sim, [fired, sim.timeout(5, "late"), fired], order)
+    sim.run()
+    # both wait by one rule: a fired event replays at the same instant
+    assert [o for o in order if o[0] == "proc"] == [
+        ("proc", "early", 0), ("proc", "late", 5), ("proc", "early", 5)]
+    assert [o for o in order if o[0] == "record"] == [
+        ("record", "early", 0), ("record", "late", 5), ("record", "early", 5)]
+
+
+def test_wait_on_a_fired_event_replays_through_a_zero_delay_timer():
+    sim = Simulator()
+    done = sim.event().succeed(7)
+    sim.run()
+    seen = []
+    waited = sim.wait(done, lambda ev: seen.append((ev.value, sim.now)))
+    assert waited is not done and not seen
+    sim.run()
+    assert seen == [(7, 0)]
+
+
+def test_a_continuation_raises_the_failure_of_its_event():
+    sim = Simulator()
+    failed = sim.event()
+
+    def cont(ev):
+        if not ev.ok:
+            raise failure(ev)
+
+    sim.wait(failed, cont)
+    failed.fail("not an exception")
+    with pytest.raises(SimulationError, match="non-exception value"):
+        sim.run()
