@@ -61,7 +61,3 @@ class ExtentAllocator:
     def free(self, extent: Extent) -> None:
         self._free.setdefault(extent.nblocks, []).append(extent.lba)
         self.allocated_blocks -= extent.nblocks
-
-    @property
-    def used_blocks(self) -> int:
-        return self._next - self.base_lba

@@ -431,8 +431,3 @@ class MiniKV:
             return None
         self.stats.hits += 1
         return value
-
-    # ------------------------------------------------------------- reporting
-    @property
-    def level_table_counts(self) -> list[int]:
-        return [len(level) for level in self.levels]

@@ -87,7 +87,3 @@ class WriteAheadLog:
         lba = self.extent.lba + self._head_block
         self._head_block += nblocks
         return lba
-
-    @property
-    def staged_bytes(self) -> int:
-        return len(self._tail)

@@ -29,11 +29,6 @@ class BufferPoolStats:
         self.reads = 0
         self.writes = 0
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 1.0
-
 
 class BufferPool:
     """Fixed-capacity LRU of :class:`Page` objects."""

@@ -58,7 +58,6 @@ class Transaction:
         self.reads = 0
         self.last_lsn = 0
         self.committed = False
-        self.started_ns = engine.sim.now
 
     # ----------------------------------------------------------------- writes
     def _stmt_cpu(self):
@@ -131,7 +130,6 @@ class Transaction:
             self.engine.redo.append(self.txn_id, -1, "commit", 16)
             yield self.engine.redo.sync()
         self.engine.committed_txns += 1
-        self.engine.total_txn_latency_ns += self.sim.now - self.started_ns
 
 
 class MiniSQL:
@@ -158,7 +156,6 @@ class MiniSQL:
         self.pool.write_barrier = self._write_barrier
         self.tables: dict[str, Table] = {}
         self.committed_txns = 0
-        self.total_txn_latency_ns = 0
         self._checkpointer = None
         self.pushdown_fetches = 0
         self.pushdown_fallbacks = 0
@@ -180,13 +177,6 @@ class MiniSQL:
     # ----------------------------------------------------------- transactions
     def begin(self) -> Transaction:
         return Transaction(self)
-
-    def autocommit(self, gen):
-        """Process generator: run one-statement transaction."""
-        txn = self.begin()
-        result = yield from gen(txn)
-        yield from txn.commit()
-        return result
 
     # ------------------------------------------------------------- pushdown
     def install_pushdown(self):
@@ -244,10 +234,3 @@ class MiniSQL:
             for page in dirty:
                 if page.dirty:
                     yield from self.pool.flush_page(page)
-
-    # -------------------------------------------------------------- reporting
-    @property
-    def avg_txn_latency_ns(self) -> float:
-        if not self.committed_txns:
-            return 0.0
-        return self.total_txn_latency_ns / self.committed_txns

@@ -61,10 +61,6 @@ class PageStore:
         """Last persisted rows of a page (recovery's view of the disk)."""
         return copy.deepcopy(self._images.get(page_id, {}))
 
-    @property
-    def allocated_pages(self) -> int:
-        return self._next_page
-
     def lba_of(self, page_id: int) -> int:
         return self.base_lba + page_id * PAGE_BLOCKS
 

@@ -321,10 +321,6 @@ class SPDKVhostTarget:
             return 0.0
         return sum(self._busy_ns) / (elapsed * len(self.cores))
 
-    @property
-    def dedicated_core_count(self) -> int:
-        return len(self.cores)
-
 
 @dataclass
 class _InflightIO:

@@ -37,6 +37,7 @@ checker     invariants (hook points)
 
 from __future__ import annotations
 
+import bisect
 from collections import deque
 from typing import Any, Iterable, Optional, Sequence
 
@@ -118,33 +119,50 @@ class _QoSState:
 
 
 class _FreedRanges:
-    """Freed DMA-buffer ranges of one memory space (pure bookkeeping)."""
+    """Freed DMA-buffer ranges of one memory space (pure bookkeeping).
 
-    __slots__ = ("ranges",)
+    Ranges may overlap: a region freed at one size can be handed out
+    again at another start and freed again.  :meth:`covering` answers
+    by a bisect over the sorted range starts, looking back no further
+    than the widest range ever freed.
+    """
+
+    __slots__ = ("ranges", "_starts", "_order", "_next", "_widest")
 
     def __init__(self):
         self.ranges: dict[int, int] = {}  # start -> nbytes
+        self._starts: list[int] = []  # sorted keys of ranges
+        self._order: dict[int, int] = {}  # start -> insertion number
+        self._next = 0
+        self._widest = 0
 
     def free(self, addr: int, nbytes: int) -> bool:
         """Record a free; returns False on double-free."""
         if addr in self.ranges:
             return False
         self.ranges[addr] = nbytes
+        self._order[addr] = self._next
+        self._next += 1
+        bisect.insort(self._starts, addr)
+        self._widest = max(self._widest, nbytes)
         return True
 
     def alloc(self, addr: int) -> None:
-        self.ranges.pop(addr, None)
+        if self.ranges.pop(addr, None) is not None:
+            del self._order[addr]
+            del self._starts[bisect.bisect_left(self._starts, addr)]
 
     def covering(self, addr: int) -> Optional[tuple[int, int]]:
-        """The freed range containing ``addr``, or None.
-
-        Freed sets stay small (pools recycle), so a linear scan keeps
-        the structure trivially observation-only.
-        """
-        for start, nbytes in self.ranges.items():
-            if start <= addr < start + nbytes:
-                return start, nbytes
-        return None
+        """The earliest-freed range containing ``addr``, or None."""
+        starts = self._starts
+        hi = bisect.bisect_right(starts, addr)
+        lo = bisect.bisect_right(starts, addr - self._widest, 0, hi)
+        best = None
+        for start in starts[lo:hi]:
+            if addr < start + self.ranges[start] and (
+                    best is None or self._order[start] < self._order[best]):
+                best = start
+        return None if best is None else (best, self.ranges[best])
 
 
 class CheckContext:

@@ -216,10 +216,7 @@ class BMSController:
         """Read one function's counters over the AXI bus."""
         base = self.engine.AXI_FN_BASE + (fn_id - 1) * self.engine.AXI_FN_STRIDE
         body = {"fn": fn_id}
-        for off, key in (
-            (0x00, "read_ops"), (0x08, "write_ops"),
-            (0x10, "read_bytes"), (0x18, "write_bytes"), (0x20, "errors"),
-        ):
+        for off, key in self.engine.AXI_FN_FIELDS.items():
             body[key] = yield self.engine.axi.read(base + off)
         return body
 

@@ -64,14 +64,6 @@ class RouteStats:
         self.reads += 1
         self.read_bytes += nbytes
 
-    @property
-    def total_requests(self) -> int:
-        return self.writes + self.reads
-
-    @property
-    def total_bytes(self) -> int:
-        return self.write_bytes + self.read_bytes
-
 FUNCTION_ID_BITS = 7
 FUNCTION_ID_SHIFT = 57
 LIST_FLAG_SHIFT = 56

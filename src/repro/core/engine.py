@@ -725,25 +725,25 @@ class BMSEngine:
     AXI_NUM_SSDS = 0x008
     AXI_FN_BASE = 0x100
     AXI_FN_STRIDE = 0x40
+    AXI_FN_COUNT = 128
+    #: per-function register offset within its stride -> _FnStats field
+    AXI_FN_FIELDS = {0x00: "read_ops", 0x08: "write_ops", 0x10: "read_bytes",
+                     0x18: "write_bytes", 0x20: "errors"}
 
     def _register_axi_registers(self) -> None:
         self.axi.register_read(self.AXI_TOTAL_IOS, lambda: self.total_ios)
         self.axi.register_read(self.AXI_NUM_SSDS, lambda: self.num_ssds)
+        self.axi.register_read_block(
+            self.AXI_FN_BASE, self.AXI_FN_COUNT * self.AXI_FN_STRIDE, self._fn_register)
 
-        def reader(fn_id: int, field_name: str):
-            def read() -> int:
-                stats = self._fn_stats.get(fn_id, _FnStats())
-                return getattr(stats, field_name)
-
-            return read
-
-        for fn_id in range(1, 129):
-            base = self.AXI_FN_BASE + (fn_id - 1) * self.AXI_FN_STRIDE
-            for off, field_name in (
-                (0x00, "read_ops"), (0x08, "write_ops"),
-                (0x10, "read_bytes"), (0x18, "write_bytes"), (0x20, "errors"),
-            ):
-                self.axi.register_read(base + off, reader(fn_id, field_name))
+    def _fn_register(self, offset: int):
+        """The reader of one per-function counter register (function
+        ``offset // stride + 1``), or None in a stride's unmapped gap."""
+        index, field_off = divmod(offset, self.AXI_FN_STRIDE)
+        field_name = self.AXI_FN_FIELDS.get(field_off)
+        if field_name is None:
+            return None
+        return lambda: getattr(self._fn_stats.get(index + 1, _FnStats()), field_name)
 
     # ------------------------------------------------------------- maintenance
     def surprise_remove(self, ssd_id: int) -> Optional[NVMeSSD]:

@@ -117,10 +117,6 @@ class MappingTable:
         self._valid[i] &= ~(1 << j)
         self._table[i][j] = 0
 
-    def is_valid(self, index: int) -> bool:
-        i, j = self._coords(index)
-        return bool(self._valid[i] & (1 << j))
-
     def valid_count(self) -> int:
         return sum(bin(v).count("1") for v in self._valid)
 

@@ -10,6 +10,7 @@ costs a handful of dict entries instead of a sample list.
 
 from __future__ import annotations
 
+import collections
 import math
 from typing import Any, Iterator, Optional
 
@@ -103,6 +104,27 @@ class Histogram:
         idx = int(math.floor(math.log(value) / _LOG_GROWTH))
         self._buckets[idx] = self._buckets.get(idx, 0) + 1
 
+    def observe_many(self, values: list[int]) -> None:
+        """``observe`` each of ``values``, batched: the same buckets,
+        count, min and max, and the same ``total`` as long as every
+        partial sum is an integer below 2**53 (sim-ns durations are)."""
+        if not values:
+            return
+        self.count += len(values)
+        self.total += sum(values)
+        lo, hi = min(values), max(values)
+        if self._min is None or lo < self._min:
+            self._min = lo
+        if self._max is None or hi > self._max:
+            self._max = hi
+        buckets = self._buckets
+        for value, n in collections.Counter(values).items():
+            if value <= 0:
+                self._zeros += n
+                continue
+            idx = int(math.floor(math.log(value) / _LOG_GROWTH))
+            buckets[idx] = buckets.get(idx, 0) + n
+
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -189,6 +211,9 @@ class NullHistogram:
 
 _NULL_HISTOGRAM = NullHistogram()
 
+#: the histograms folded from the span log (see MetricsRegistry._fold_spans)
+_SPAN_HISTOGRAMS = ("span_stage_ns", "span_total_ns")
+
 
 class MetricsRegistry:
     """Get-or-create store of named, labeled metrics + the span log.
@@ -200,7 +225,11 @@ class MetricsRegistry:
     ``mode`` selects how much the instrumentation taxes the hot path:
 
     * ``"full"`` (default) — every command carries an :class:`IOSpan`
-      and feeds the stage histograms.
+      and feeds the stage histograms.  Those (``span_stage_ns`` and
+      ``span_total_ns``) are folded from the span log's columns
+      whenever the registry is read, so filing a span is one row
+      append; a span the log drops past its capacity is observed
+      directly, after every filed row.
     * ``"sampled"`` — only one in ``span_sample`` commands carries a
       span (deterministic modulo counter, so runs stay reproducible);
       histograms still record everything they are handed.
@@ -217,11 +246,11 @@ class MetricsRegistry:
             raise ValueError(f"span_sample must be >= 1, got {span_sample}")
         self._metrics: dict[tuple[str, str, tuple], Any] = {}
         self.spans = SpanLog(capacity=span_capacity)
+        self.spans.on_clear = self._fold_spans
         self.mode = mode
         self.span_sample = 1 if mode == "full" else span_sample
         self._span_tick = 0
-        # span-stage histogram handles, resolved once per stage name —
-        # finish_span runs per completed I/O and must not rebuild keys
+        # span-stage histogram handles, resolved once per stage name
         self._stage_hists: dict[str, Histogram] = {}
         self._h_span_total: Optional[Histogram] = None
 
@@ -255,37 +284,62 @@ class MetricsRegistry:
     def histogram(self, name: str, **labels: str) -> Histogram:
         if self.mode == "counters":
             return _NULL_HISTOGRAM
+        if name in _SPAN_HISTOGRAMS:
+            self._fold_spans()
         return self._get("histogram", Histogram, name, labels)
 
     # ----------------------------------------------------------------- spans
     def finish_span(self, span: IOSpan) -> None:
-        """File a completed span: log its row + feed the stage histograms.
+        """File a completed span: log its row and count its faults.
 
         The span is read once, here; later stamps on it (a timed-out
-        attempt still executing on the drive) change nothing filed."""
+        attempt still executing on the drive) change nothing filed.
+        Its stage histograms are fed at the next read of the registry
+        (:meth:`_fold_spans`), or now if the log is full."""
         if self.mode == "counters":
             return
         for kind in span.faults:
             self.counter("span_faults", kind=kind).inc()
-        hists = self._stage_hists
-        last = None
-        for stage, t in self.spans.add(span):
+        if self.spans.add(span):
+            return
+        self._fold_spans()
+        hists, last = self._stage_hists, None
+        for stage, t in span.ordered_stamps():
             if last is not None:
-                h = hists.get(stage)
-                if h is None:
-                    h = hists[stage] = self.histogram("span_stage_ns", stage=stage)
-                h.observe(t - last)
+                (hists.get(stage) or self._stage_hist(stage)).observe(t - last)
             last = t
         total = span.total_ns()
         if total is not None:
-            h = self._h_span_total
-            if h is None:
-                h = self._h_span_total = self.histogram("span_total_ns")
-            h.observe(total)
+            self._total_hist().observe(total)
+
+    def _stage_hist(self, stage: str) -> Histogram:
+        h = self._stage_hists.get(stage)
+        if h is None:
+            h = self._stage_hists[stage] = self._get(
+                "histogram", Histogram, "span_stage_ns", {"stage": stage})
+        return h
+
+    def _total_hist(self) -> Histogram:
+        if self._h_span_total is None:
+            self._h_span_total = self._get("histogram", Histogram, "span_total_ns", {})
+        return self._h_span_total
+
+    def _fold_spans(self) -> None:
+        """Feed the stage histograms every span row filed since the
+        last fold, in row order: the same observations ``finish_span``
+        would have made per span, one batch per stage column."""
+        if self.spans.folded == len(self.spans):
+            return
+        for stages, totals in self.spans.fold():
+            for stage, deltas in stages:
+                self._stage_hist(stage).observe_many(deltas)
+            if totals:
+                self._total_hist().observe_many(totals)
 
     # ------------------------------------------------------------- inspection
     def iter_metrics(self) -> Iterator[tuple[str, str, Any]]:
         """Yields (kind, formatted_name, metric) sorted by kind then name."""
+        self._fold_spans()
         for (kind, name, labels), metric in sorted(
             self._metrics.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])
         ):
@@ -301,6 +355,8 @@ class MetricsRegistry:
 
     def histograms(self, name: str) -> dict[tuple[tuple[str, str], ...], Histogram]:
         """All histograms of one name, keyed by their label tuples."""
+        if name in _SPAN_HISTOGRAMS:
+            self._fold_spans()
         return {
             key[2]: metric
             for key, metric in self._metrics.items()
@@ -326,7 +382,7 @@ class MetricsRegistry:
         out["spans"] = {
             "recorded": len(spans),
             "dropped": spans.dropped,
-            "complete": len(spans.complete()),
+            "complete": spans.count_complete(),
         }
         # only present when faults were injected, so fault-free snapshots
         # stay byte-identical to pre-fault-layer output

@@ -196,15 +196,6 @@ class BandwidthLink:
     def bytes_moved(self) -> int:
         return self._bytes_moved
 
-    def serialization_ns(self, nbytes: int) -> int:
-        ns = self._ser_cache.get(nbytes)
-        if ns is None:
-            # ceiling, not rounding: a transfer must never finish early,
-            # or short transfers would beat the configured line rate
-            ns = math.ceil(nbytes * 1e9 / self.bytes_per_sec)
-            self._ser_cache[nbytes] = ns
-        return ns
-
     def transfer(self, nbytes: int, value: Any = None, extra_ns: int = 0) -> Event:
         """Move ``nbytes`` through the link; event fires at arrival time
         plus ``extra_ns`` (a fixed delay after arrival, such as the
@@ -213,6 +204,8 @@ class BandwidthLink:
             raise SimulationError(f"negative transfer size {nbytes}")
         ns = self._ser_cache.get(nbytes)
         if ns is None:
+            # ceiling, not rounding: a transfer must never finish early,
+            # or short transfers would beat the configured line rate
             ns = math.ceil(nbytes * 1e9 / self.bytes_per_sec)
             self._ser_cache[nbytes] = ns
         now = self.sim.now

@@ -1,8 +1,10 @@
 """CheckContext unit tests: binding, coverage, and violation detection."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.checks import CHECKER_NAMES, CheckContext, InvariantViolation, resolve_checks
+from repro.checks.runtime import _FreedRanges
 from repro.core.lba_mapping import MappingEntry, MappingTable
 from repro.host.memory import PAGE_SIZE, BufferPool, HostMemory
 from repro.nvme import CQE, SQE, CompletionQueue, SubmissionQueue
@@ -173,6 +175,41 @@ def test_prp_checker_detects_double_free_and_freed_reuse():
     # ...until the pool recycles the buffer
     assert pool.get(PAGE_SIZE) == addr
     ctx.on_prp_chain([addr], PAGE_SIZE, memory_name=mem.name, where="t")
+
+
+def _scan_covering(ranges: dict, addr: int):
+    """The reference answer: the first range, in free order, holding addr."""
+    for start, nbytes in ranges.items():
+        if start <= addr < start + nbytes:
+            return start, nbytes
+    return None
+
+
+_PAGES = st.integers(0, 63).map(lambda page: page * PAGE_SIZE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(
+    st.tuples(st.just("free"), _PAGES, st.integers(1, 8).map(lambda n: n * PAGE_SIZE)),
+    st.tuples(st.just("alloc"), _PAGES, st.just(0)),
+    st.tuples(st.just("probe"), st.integers(0, 80 * PAGE_SIZE), st.just(0)),
+), max_size=60))
+def test_freed_ranges_bisect_matches_the_linear_scan(ops):
+    """Overlapping frees (a region re-freed at another size) resolve to
+    the earliest-freed range, exactly as a scan in free order does."""
+    freed, model = _FreedRanges(), {}
+    for op, addr, nbytes in ops:
+        if op == "free":
+            assert freed.free(addr, nbytes) == (addr not in model)
+            model.setdefault(addr, nbytes)
+        elif op == "alloc":
+            freed.alloc(addr)
+            model.pop(addr, None)
+        assert freed.ranges == model
+        assert list(freed.ranges) == list(model)
+        probes = (addr, addr - 1, addr + PAGE_SIZE - 1, addr + 3 * PAGE_SIZE)
+        for probe in probes:
+            assert freed.covering(probe) == _scan_covering(model, probe)
 
 
 # ------------------------------------------------------------------- lba

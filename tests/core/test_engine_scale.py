@@ -1,6 +1,8 @@
 """Scale tests: many front-end functions active on one engine."""
 
 
+import pytest
+
 from repro.baselines import build_bmstore
 from repro.sim.units import GIB
 
@@ -59,3 +61,47 @@ def test_namespace_capacity_accounting_across_many_tenants():
         pass
     # P4510 2 TB = 29 usable 64 GiB chunks per drive
     assert created == 4 * 29
+
+
+def test_axi_monitor_reads_every_function_and_field():
+    """The controller's I/O monitor reads each function's five counters
+    from one register block; an unmapped offset has no register."""
+    from repro.sim import SimulationError
+
+    rig = build_bmstore(num_ssds=1)
+    engine = rig.engine
+    fns = [rig.provision(f"m{i}", 64 * GIB) for i in range(2)]
+    drivers = [rig.baremetal_driver(fn) for fn in fns]
+
+    def flow():
+        for _ in range(3):
+            yield drivers[0].read(0, 1)
+        yield drivers[0].write(8, 2)
+        yield drivers[1].write(0, 1)
+        yield drivers[1].read(64 * GIB // 4096, 1)  # past the namespace: an error
+        bodies = []
+        for fn_id in range(1, engine.AXI_FN_COUNT + 1):
+            bodies.append((yield from rig.controller.read_io_stats(fn_id)))
+        return bodies
+
+    bodies = rig.sim.run(rig.sim.process(flow()))
+    assert [body["fn"] for body in bodies] == list(range(1, 129))
+    assert rig.engine.axi.reads == 128 * 5
+    expected = {fn.fn_id: engine.monitor_snapshot(fn.fn_id) for fn in fns}
+    assert expected[fns[0].fn_id] == {"fn": fns[0].fn_id, "read_ops": 3, "write_ops": 1,
+                                      "read_bytes": 3 * 4096, "write_bytes": 2 * 4096,
+                                      "errors": 0}
+    assert expected[fns[1].fn_id] == {"fn": fns[1].fn_id, "read_ops": 0, "write_ops": 1,
+                                      "read_bytes": 0, "write_bytes": 4096, "errors": 1}
+    for body in bodies:
+        assert body == expected.get(body["fn"], engine.monitor_snapshot(body["fn"]))
+        assert list(body) == ["fn", "read_ops", "write_ops", "read_bytes",
+                              "write_bytes", "errors"]
+    end = engine.AXI_FN_BASE + engine.AXI_FN_COUNT * engine.AXI_FN_STRIDE
+    for addr in (0x10, engine.AXI_FN_BASE - 8, end, end + 8,
+                 *(engine.AXI_FN_BASE + off for off in range(0x28, 0x40, 8)),
+                 end - engine.AXI_FN_STRIDE + 0x38, engine.AXI_FN_BASE + 0x04):
+        with pytest.raises(SimulationError, match="no read register"):
+            engine.axi.read(addr)
+    with pytest.raises(SimulationError, match="already bound"):
+        engine.axi.register_read(engine.AXI_FN_BASE + 0x08, lambda: 0)

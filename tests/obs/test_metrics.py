@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.obs import Counter, Histogram, MetricsRegistry
 
@@ -138,3 +139,17 @@ def test_render_table_mentions_every_metric():
     reg.histogram("lat").observe(10)
     text = reg.render_table()
     assert "ops" in text and "lat" in text and "spans:" in text
+
+
+@given(st.lists(st.lists(st.one_of(st.integers(-10**6, 10**12), st.just(0),
+                                   st.integers(1, 50)), max_size=40), max_size=5))
+def test_observe_many_is_exactly_per_value_observe(batches):
+    one, many = Histogram("a"), Histogram("b")
+    for batch in batches:
+        for value in batch:
+            one.observe(value)
+        many.observe_many(batch)
+        assert (many.count, many.total, many._min, many._max, many._zeros) == (
+            one.count, one.total, one._min, one._max, one._zeros)
+        assert many._buckets == one._buckets
+        assert many.summary() == one.summary()

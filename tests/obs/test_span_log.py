@@ -1,11 +1,15 @@
 """The columnar span log: rows round-trip every field of a filed span,
-stay frozen once filed, and a full log stays small."""
+stay frozen once filed, a full log stays small, and the stage
+histograms folded from it equal per-span observation."""
 
 import tracemalloc
+from array import array
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.obs import STAGES, IOSpan, MetricsRegistry, SpanLog
+from repro.obs import STAGES, Histogram, IOSpan, MetricsRegistry, SpanLog
 from repro.obs.spans import STAMP_ORDER, SpanRow
 
 
@@ -166,3 +170,165 @@ def test_full_log_stays_small():
         tracemalloc.stop()
     assert len(reg.spans) == 10_000
     assert kept <= 1.5 * 2**20, f"{kept / 2**20:.2f} MiB kept"
+
+
+# ------------------------------------------------- property: round trip
+_OFFSETS = st.one_of(
+    st.integers(-2**34, 2**34),
+    st.sampled_from([0, 1, -1, 2**31 - 1, 2**31, -2**31 + 1, -2**31, -2**31 - 1]),
+)
+
+
+@st.composite
+def _spans(draw):
+    """A span stamping a random subset of stages, maybe without submit;
+    times are a large base plus offsets reaching past 32 bits."""
+    base = draw(st.integers(0, 2**36))
+    span = IOSpan(draw(st.sampled_from(["read", "write", "flush"])),
+                  origin=draw(st.sampled_from(["nvme0", "vm1", ""])))
+    if draw(st.booleans()):
+        span.stamp("submit", base)
+    for stage in STAMP_ORDER[1:]:
+        if draw(st.booleans()):
+            span.stamp(stage, base + draw(_OFFSETS))
+    for kind in draw(st.lists(st.sampled_from(["media_error", "host_timeout"]),
+                              max_size=2)):
+        span.note_fault(kind)
+    return span
+
+
+def _frozen(span):
+    """What the log must hand back for ``span`` filed now."""
+    return (span.op, span.origin, span.ordered_stamps(), list(span.faults))
+
+
+def _assert_log_matches(log, kept):
+    assert len(log) == len(kept)
+    rows = list(log)
+    assert len(rows) == len(kept)
+    for row, (op, origin, ordered, faults) in zip(rows, kept):
+        assert (row.op, row.origin, row.faults) == (op, origin, faults)
+        assert row.ordered_stamps() == ordered
+        assert row.stamps == dict(ordered)
+        stamps = dict(ordered)
+        for stage in STAMP_ORDER:
+            assert row.get(stage) == stamps.get(stage)
+        assert row.is_complete == all(stage in stamps for stage in STAGES)
+    complete = [i for i, (_, _, ordered, _) in enumerate(kept)
+                if all(stage in dict(ordered) for stage in STAGES)]
+    assert [row._row for row in log.complete()] == complete
+    assert log.count_complete() == len(complete)
+    assert log.with_faults == sum(1 for *_, faults in kept if faults)
+    if kept:
+        assert log[-1].ordered_stamps() == kept[-1][2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(_spans(), st.just("clear")), max_size=25),
+       st.integers(1, 30))
+def test_rows_read_back_exactly_as_their_spans(ops, capacity):
+    """Any stamp subset, offsets past +/-2**31 (a column widens once) and
+    spans without submit (absolute times) read back exactly, through
+    complete(), with_faults, clear() and capacity drops."""
+    log, kept, dropped = SpanLog(capacity=capacity), [], 0
+    for op in ops:
+        if op == "clear":
+            log.clear()
+            kept, dropped = [], 0
+        elif log.add(op):
+            kept.append(_frozen(op))
+            op.stamp("interrupt", 7)  # a late stamp moves nothing filed
+            op.note_fault("host_timeout")
+        else:
+            dropped += 1
+        assert log.dropped == dropped
+        _assert_log_matches(log, kept)
+
+
+# ------------------------------------------- property: the stage fold
+def _reference_hists(spans):
+    """The stage/total histograms as finish_span fed them span by span."""
+    hists = {}
+    for span in spans:
+        for stage, delta in span.stage_deltas():
+            hists.setdefault((("stage", stage),), Histogram("span_stage_ns")).observe(delta)
+        total = span.total_ns()
+        if total is not None:
+            hists.setdefault((), Histogram("span_total_ns")).observe(total)
+    return hists
+
+
+def _summaries(reg):
+    return {**{k: h.summary() for k, h in reg.histograms("span_stage_ns").items()},
+            **{k: h.summary() for k, h in reg.histograms("span_total_ns").items()}}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(_spans(), st.sampled_from(["read", "clear"])), max_size=30),
+       st.integers(1, 12), st.integers(1, 8))
+def test_folded_histograms_equal_per_span_observation(ops, capacity, batch):
+    """Reads fold the new rows in at any point, ``batch`` rows per pass;
+    a clear folds first and spans past capacity are observed directly:
+    every stage's summary() equals feeding each span's deltas as it is
+    filed."""
+    reg, filed = MetricsRegistry(span_capacity=capacity), []
+    reg.spans.FOLD_ROWS = batch
+    for op in ops:
+        if op == "read":
+            reg.snapshot()
+        elif op == "clear":
+            reg.spans.clear()
+        else:
+            filed.append(op)
+            reg.finish_span(op)
+    want = {k: h.summary() for k, h in _reference_hists(filed).items()}
+    assert _summaries(reg) == want
+    snap = reg.snapshot()["histograms"]
+    assert {k for k in snap if k.startswith("span_")} == {
+        "span_total_ns" if k == () else f"span_stage_ns{{stage={k[0][1]}}}" for k in want}
+
+
+def test_every_read_folds_each_row_exactly_once():
+    reg = MetricsRegistry(span_capacity=5_000)
+    for i in range(5_000):
+        reg.finish_span(_span(start=i * 100, step=3 + i % 5))
+    hist = reg.histogram("span_stage_ns", stage="doorbell")
+    assert hist.count == 5_000 and reg.spans.folded == 5_000
+    assert reg.histograms("span_total_ns")[()].count == 5_000
+    assert reg.snapshot()["histograms"]["span_stage_ns{stage=doorbell}"]["count"] == 5_000
+
+
+# ------------------------------------------------------- census
+def _log_arrays(log):
+    """The machine-int arrays a span log holds, one level deep."""
+    found = []
+    for value in vars(log).values():
+        for item in value if isinstance(value, (list, tuple)) else (value,):
+            if isinstance(item, array) and all(item is not f for f in found):
+                found.append(item)
+    return found
+
+
+def _short_rr128(scheme):
+    from repro.experiments.common import run_case
+    from repro.sim.units import MS
+    from repro.workloads.fio import TABLE_IV_CASES
+
+    spec = replace(TABLE_IV_CASES["rand-r-128"], runtime_ns=MS, ramp_ns=MS // 5)
+    return run_case(scheme, spec, seed=7, checks="off").obs.spans
+
+
+def test_log_holds_columns_only_for_stamped_stages():
+    """Passthrough stamps submit, ssd_dma and interrupt: its log holds
+    three stage arrays.  A BM-Store row costs 8 bytes of submit, 4 per
+    other stamped stage and 4 of op/origin codes."""
+    log = _short_rr128("passthrough")
+    assert len(log) > 0
+    stage_arrays = [a for a in _log_arrays(log) if a.typecode != "H"]
+    assert len(stage_arrays) == 3
+
+    log = _short_rr128("bmstore")
+    stamped = {stage for row in log for stage in row.stamps}
+    assert {"submit", *STAGES} <= stamped
+    row_bytes = sum(a.itemsize * len(a) for a in _log_arrays(log)) / len(log)
+    assert row_bytes <= 8 + 4 * (len(stamped) - 1) + 4
